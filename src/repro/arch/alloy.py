@@ -10,18 +10,11 @@ makes Alloy page-fault on high-footprint workloads (Figure 18).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
 from repro.config import CACHELINE_BYTES, SystemConfig
 from repro.arch.base import MemoryArchitecture
 from repro.stats import CounterSet
-
-
-@dataclass
-class _TadEntry:
-    tag: int
-    dirty: bool = False
 
 
 class AlloyCache(MemoryArchitecture):
@@ -34,62 +27,100 @@ class AlloyCache(MemoryArchitecture):
         self._num_sets = config.fast_mem.capacity_bytes // CACHELINE_BYTES
         if self._num_sets <= 0:
             raise ValueError("stacked DRAM too small for a single line")
-        # Sparse tag store: set index -> TAD entry.  Only touched sets
-        # are materialised, keeping full-scale configs cheap.
-        self._tads: Dict[int, _TadEntry] = {}
+        self._os_capacity = config.slow_mem.capacity_bytes
+        # Sparse TAD store as two maps keyed by set index — the line's
+        # tag and its dirty bit.  Only touched sets are materialised,
+        # keeping full-scale configs cheap.
+        self._tags: Dict[int, int] = {}
+        self._dirty: Dict[int, bool] = {}
+        self._fast_access = self.memory.fast.access
+        self._slow_access = self.memory.slow.access
+        # Per-access outcomes counted while batch stats are on (see
+        # ``_flush_arch_tallies``); every miss fills, so misses count
+        # the fills too.
+        self._hits = 0
+        self._misses = 0
+        self._writebacks = 0
 
     # ------------------------------------------------------------------
-
-    def _locate(self, address: int) -> tuple[int, int]:
-        line = address // CACHELINE_BYTES
-        return line % self._num_sets, line // self._num_sets
 
     def access_timing(
         self, address: int, now_ns: float, is_write: bool = False
     ) -> tuple[float, bool]:
-        if not 0 <= address < self.config.slow_mem.capacity_bytes:
+        if not 0 <= address < self._os_capacity:
             raise ValueError(
                 f"address {address:#x} outside OS-visible (off-chip) memory"
             )
-        set_index, tag = self._locate(address)
-        entry = self._tads.get(set_index)
+        num_sets = self._num_sets
+        line = address // CACHELINE_BYTES
+        set_index = line % num_sets
+        tag = line // num_sets
         cache_address = set_index * CACHELINE_BYTES
+        resident = self._tags.get(set_index)
 
-        if entry is not None and entry.tag == tag:
+        if resident == tag:
             # TAD hit: one stacked burst returns tag+data.
-            latency = self.memory.fast.access(cache_address, now_ns, is_write)
+            latency = self._fast_access(cache_address, now_ns, is_write)
             if is_write:
-                entry.dirty = True
-            self.counters.add("alloy.hits")
+                self._dirty[set_index] = True
+            if self._batch_stats:
+                self._hits += 1
+            else:
+                self.counters.add("alloy.hits")
             return latency, True
 
         # Miss: probe the TAD, then fetch from off-chip memory.  The
         # probe and the off-chip fetch are launched together (Alloy's
         # MAP-I style parallel probe), so the miss latency is their max.
-        probe_ns = self.memory.fast.access(cache_address, now_ns, False)
-        mem_ns = self.memory.slow.access(address, now_ns, is_write)
-        latency = max(probe_ns, mem_ns)
-        self.counters.add("alloy.misses")
+        fast_access = self._fast_access
+        slow_access = self._slow_access
+        probe_ns = fast_access(cache_address, now_ns, False)
+        mem_ns = slow_access(address, now_ns, is_write)
+        latency = mem_ns if mem_ns > probe_ns else probe_ns
+        batch_stats = self._batch_stats
+        if batch_stats:
+            self._misses += 1
+        else:
+            self.counters.add("alloy.misses")
 
         # Victim writeback (dirty direct-mapped eviction) — issued
         # immediately, off the critical path.
-        if entry is not None and entry.dirty:
-            victim_address = entry.tag * self._num_sets * CACHELINE_BYTES + (
-                set_index * CACHELINE_BYTES
+        dirty = self._dirty
+        if resident is not None and dirty[set_index]:
+            slow_access(
+                (resident * num_sets + set_index) * CACHELINE_BYTES,
+                now_ns,
+                True,
             )
-            self.memory.slow.access(victim_address, now_ns, True)
-            self.counters.add("alloy.writebacks")
+            if batch_stats:
+                self._writebacks += 1
+            else:
+                self.counters.add("alloy.writebacks")
 
         # Fill the line (consumes stacked bandwidth, off the critical path).
-        self.memory.fast.access(cache_address, now_ns, True)
-        self._tads[set_index] = _TadEntry(tag=tag, dirty=is_write)
-        self.counters.add("alloy.fills")
+        fast_access(cache_address, now_ns, True)
+        self._tags[set_index] = tag
+        dirty[set_index] = is_write
+        if not batch_stats:
+            self.counters.add("alloy.fills")
         return latency, False
+
+    def _flush_arch_tallies(self) -> None:
+        counters = self.counters
+        for name, count in (
+            ("alloy.hits", self._hits),
+            ("alloy.misses", self._misses),
+            ("alloy.fills", self._misses),
+            ("alloy.writebacks", self._writebacks),
+        ):
+            if count:
+                counters.add(name, count)
+        self._hits = self._misses = self._writebacks = 0
 
     @property
     def os_visible_bytes(self) -> int:
         """Caches sacrifice the stacked capacity (Section III-D)."""
-        return self.config.slow_mem.capacity_bytes
+        return self._os_capacity
 
     @property
     def cache_hit_rate(self) -> float:

@@ -95,42 +95,6 @@ class MemoryArchitecture(abc.ABC):
         self.record_access_outcome(result)
         return result
 
-    def access_batch(
-        self,
-        addresses,
-        now_ns_seq,
-        is_writes,
-    ) -> tuple[list, int]:
-        """Service a pre-scheduled, time-ordered run of accesses.
-
-        Bulk (open-loop) entry point: ``addresses``/``now_ns_seq``/
-        ``is_writes`` are parallel sequences replayed in order through
-        :meth:`access_timing` with device counters deferred, then all
-        outcome stats are recorded in one shot.  Returns the latency
-        list and the fast-hit count.  Results are bit-identical to the
-        equivalent :meth:`access` loop.  (The closed-loop simulation
-        engine cannot pre-schedule issue times — each one feeds back
-        through the core clocks — so it drives ``access_timing``
-        directly and batches only the accounting.)
-        """
-        timing = self.access_timing
-        latencies: list = []
-        append = latencies.append
-        fast_hits = 0
-        self.begin_batch_stats()
-        try:
-            for address, now_ns, is_write in zip(
-                addresses, now_ns_seq, is_writes
-            ):
-                latency_ns, fast_hit = timing(address, now_ns, is_write)
-                append(latency_ns)
-                if fast_hit:
-                    fast_hits += 1
-        finally:
-            self.end_batch_stats()
-        self.record_access_batch(latencies, fast_hits)
-        return latencies, fast_hits
-
     # ------------------------------------------------------------------
     # OS co-design hooks (default: architecture is OS-agnostic)
     # ------------------------------------------------------------------
@@ -189,23 +153,41 @@ class MemoryArchitecture(abc.ABC):
         while a batched run is in flight."""
         return (self.memory.fast, self.memory.slow)
 
+    #: True in bulk-stats mode: demand paths then count their per-access
+    #: policy counters in plain ints that :meth:`_flush_arch_tallies`
+    #: publishes.
+    _batch_stats = False
+
     def begin_batch_stats(self) -> None:
-        """Enter bulk-stats mode: device demand counters are tallied
-        locally until flushed (transfers flush automatically to keep
-        the shared ``busy_ns`` accumulation order)."""
+        """Enter bulk-stats mode: device demand counters and per-access
+        policy counters are tallied locally until flushed (transfers
+        flush automatically to keep the shared ``busy_ns`` accumulation
+        order)."""
         for device in self._batch_devices():
             device.begin_deferred_stats()
+        self._batch_stats = True
 
     def flush_batch_stats(self) -> None:
-        """Publish pending device tallies (e.g. before a counter read
-        or reset)."""
+        """Publish pending tallies (e.g. before a counter read or
+        reset)."""
         for device in self._batch_devices():
             device.flush_deferred_stats()
+        self._flush_arch_tallies()
 
     def end_batch_stats(self) -> None:
-        """Flush pending device tallies and leave bulk-stats mode."""
+        """Flush pending tallies and leave bulk-stats mode."""
         for device in self._batch_devices():
             device.end_deferred_stats()
+        self._flush_arch_tallies()
+        self._batch_stats = False
+
+    def _flush_arch_tallies(self) -> None:
+        """Publish and zero the design's deferred policy counters.
+
+        Each tally counts ``+1`` increments, so one ``+n`` lands on the
+        same value exactly (as for the device tallies).  Designs without
+        such counters have nothing to flush.
+        """
 
     @property
     def fast_hit_rate(self) -> float:

@@ -29,6 +29,9 @@ DEFAULT_SWAP_THRESHOLD = 4
 #: baseline's epoch-gated remapping decisions.
 DEFAULT_SWAP_COOLDOWN = 64
 
+#: The SRRT mode bit the demand path branches on, bound at module level.
+_CACHE = Mode.CACHE
+
 
 class PoMArchitecture(MemoryArchitecture):
     """PoM with segment-restricted remapping and competing counters."""
@@ -68,36 +71,17 @@ class PoMArchitecture(MemoryArchitecture):
             self._groups[group] = state
         return state
 
-    def _device_location(
-        self, group: int, slot: int, offset: int
-    ) -> tuple[bool, int]:
-        return self.geometry.slot_device_address(group, slot, offset)
-
-    def _translate(self, address: int) -> tuple[int, int, int, int]:
-        """(segment, group, local, offset) of an OS address.
-
-        Inlined form of ``geometry.segment_of`` + ``group_and_local`` +
-        the offset modulo — one integer ``divmod`` and pure arithmetic,
-        bit-identical to the :class:`SegmentGeometry` methods.
-        """
-        segment, offset = divmod(address, self._segment_bytes)
-        if not 0 <= segment < self._total_segments:
-            raise ValueError(f"address {address:#x} outside OS memory")
-        num_fast = self._num_fast
-        if segment < num_fast:
-            return segment, segment, 0, offset
-        rel = segment - num_fast
-        return segment, rel % num_fast, 1 + rel // num_fast, offset
-
     # ------------------------------------------------------------------
 
     def access_timing(
         self, address: int, now_ns: float, is_write: bool = False
     ) -> tuple[float, bool]:
-        # Monolithic demand path: ``_translate`` + ``_pom_timing``
-        # inlined (same arithmetic, same order).  The helpers remain
-        # the reference form and serve the Chameleon-family subclasses,
-        # which translate once and then dispatch by group mode.
+        # The one PoM-family demand path.  The SRRT lookup is a table
+        # read and a mode-bit branch (Section V, Figure 7); the
+        # translation is ``geometry.segment_of`` + ``group_and_local``
+        # + the offset modulo as one ``divmod`` and plain arithmetic.
+        # Cache-mode groups exist only in the Chameleon-family
+        # subclasses, which define ``_cache_mode_access``.
         segment_bytes = self._segment_bytes
         segment, offset = divmod(address, segment_bytes)
         if not 0 <= segment < self._total_segments:
@@ -113,6 +97,10 @@ class PoMArchitecture(MemoryArchitecture):
         state = self._groups.get(group)
         if state is None:
             state = self.group_state(group)
+        if state.mode is _CACHE:
+            return self._cache_mode_access(
+                group, state, segment, local, offset, now_ns, is_write
+            )
         slot = state.slot_of[local]
         if slot == 0:
             latency = self.memory.access(
@@ -132,36 +120,6 @@ class PoMArchitecture(MemoryArchitecture):
         )
         self._update_counter(group, state, local, now_ns)
         return latency, False
-
-    def _pom_timing(
-        self,
-        segment: int,
-        group: int,
-        local: int,
-        offset: int,
-        state: GroupState,
-        now_ns: float,
-        is_write: bool,
-    ) -> tuple[float, bool]:
-        """PoM-mode demand service once the translation is in hand
-        (shared with :class:`~repro.core.ChameleonArchitecture`'s
-        dispatch, which translates exactly once per access)."""
-        slot = state.slot_of[local]
-        # Inlined ``slot_device_address`` (slot 0 is the stacked slot).
-        if slot == 0:
-            in_fast = True
-            device_address = group * self._segment_bytes + offset
-        else:
-            in_fast = False
-            device_address = (
-                (slot - 1) * self._num_fast + group
-            ) * self._segment_bytes + offset
-        latency = self.memory.access(
-            in_fast, device_address, now_ns, is_write, segment_id=segment
-        )
-        if not in_fast:
-            self._update_counter(group, state, local, now_ns)
-        return latency, in_fast
 
     def _update_counter(
         self, group: int, state: GroupState, local: int, now_ns: float
@@ -195,8 +153,8 @@ class PoMArchitecture(MemoryArchitecture):
         slot = state.slot_of[local]
         if slot == 0:
             return
-        _, fast_address = self._device_location(group, 0, 0)
-        _, slow_address = self._device_location(group, slot, 0)
+        _, fast_address = self.geometry.slot_device_address(group, 0, 0)
+        _, slow_address = self.geometry.slot_device_address(group, slot, 0)
         fast_resident = state.resident_of_fast()
         self.memory.start_swap(
             fast_address=fast_address,

@@ -68,6 +68,11 @@ class ChameleonArchitecture(PoMArchitecture):
         kwargs = {} if swap_cooldown is None else {"swap_cooldown": swap_cooldown}
         super().__init__(config, swap_threshold, counters=counters, **kwargs)
         self.fill_policy = fill_policy
+        # Per-access cache-mode outcomes counted while batch stats are
+        # on (see ``_flush_arch_tallies``).
+        self._hits = 0
+        self._misses = 0
+        self._fills_skipped = 0
 
     # ------------------------------------------------------------------
     # Group state: Chameleon groups boot in cache mode (ABV all zero)
@@ -145,21 +150,6 @@ class ChameleonArchitecture(PoMArchitecture):
     # Demand path
     # ------------------------------------------------------------------
 
-    def access_timing(
-        self, address: int, now_ns: float, is_write: bool = False
-    ) -> tuple[float, bool]:
-        segment, group, local, offset = self._translate(address)
-        state = self._groups.get(group)
-        if state is None:
-            state = self.group_state(group)
-        if state.mode is Mode.POM:
-            return self._pom_timing(
-                segment, group, local, offset, state, now_ns, is_write
-            )
-        return self._cache_mode_access(
-            group, state, segment, local, offset, now_ns, is_write
-        )
-
     def _cache_mode_access(
         self,
         group: int,
@@ -170,42 +160,71 @@ class ChameleonArchitecture(PoMArchitecture):
         now_ns: float,
         is_write: bool,
     ) -> tuple[float, bool]:
-        if local == state.resident_of_fast() or local == state.cached:
+        """Cache-mode service, reached from the SRRT mode branch of
+        :meth:`PoMArchitecture.access_timing` with the translation in
+        hand (``offset`` comes from a ``divmod``, so it is in range)."""
+        cached = state.cached
+        if local == state.seg_at[0] or local == cached:
             # Either the (free) stacked resident itself — tolerated for
             # robustness — or a cache hit on the cached segment.
-            _, cache_address = self.geometry.slot_device_address(
-                group, 0, offset
-            )
             latency = self.memory.access(
-                True, cache_address, now_ns, is_write, segment_id=segment
+                True,
+                group * self._segment_bytes + offset,
+                now_ns,
+                is_write,
+                segment_id=segment,
             )
-            if local == state.cached:
+            if local == cached:
                 if is_write:
                     state.dirty = True
                 state.miss_streak = 0
-                self.counters.add("chameleon.cache_hits")
+                if self._batch_stats:
+                    self._hits += 1
+                else:
+                    self.counters.add("chameleon.cache_hits")
             return latency, True
 
-        # Miss: access the segment at its current (off-chip) slot, then
-        # fill it into the stacked slot — no competing-counter threshold
-        # in cache mode; under the "protect" policy a referenced
-        # incumbent survives one challenger before being evicted.
-        slot = state.slot_of[local]
-        in_fast, device_address = self.geometry.slot_device_address(
-            group, slot, offset
-        )
+        # Miss: access the segment at its current slot (off-chip: the
+        # stacked slot holds ``seg_at[0]``), then fill it into the
+        # stacked slot — no competing-counter threshold in cache mode;
+        # under the "protect" policy a referenced incumbent survives one
+        # challenger before being evicted.
         latency = self.memory.access(
-            in_fast, device_address, now_ns, is_write, segment_id=segment
+            False,
+            ((state.slot_of[local] - 1) * self._num_fast + group)
+            * self._segment_bytes
+            + offset,
+            now_ns,
+            is_write,
+            segment_id=segment,
         )
-        self.counters.add("chameleon.cache_misses")
+        batch_stats = self._batch_stats
+        if batch_stats:
+            self._misses += 1
+        else:
+            self.counters.add("chameleon.cache_misses")
         if self.fill_policy != "always" and state.cooldown > 0:
             state.cooldown -= 1
         elif self._should_fill(state):
             self._fill_cache(group, state, local, now_ns, is_write)
         else:
             state.miss_streak += 1
-            self.counters.add("chameleon.fills_skipped")
-        return latency, in_fast
+            if batch_stats:
+                self._fills_skipped += 1
+            else:
+                self.counters.add("chameleon.fills_skipped")
+        return latency, False
+
+    def _flush_arch_tallies(self) -> None:
+        counters = self.counters
+        for name, count in (
+            ("chameleon.cache_hits", self._hits),
+            ("chameleon.cache_misses", self._misses),
+            ("chameleon.fills_skipped", self._fills_skipped),
+        ):
+            if count:
+                counters.add(name, count)
+        self._hits = self._misses = self._fills_skipped = 0
 
     def _should_fill(self, state: GroupState) -> bool:
         if state.cached is None or self.fill_policy == "always":

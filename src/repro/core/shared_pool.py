@@ -123,7 +123,21 @@ class ChameleonSharedPool(ChameleonOptArchitecture):
     def access_timing(
         self, address: int, now_ns: float, is_write: bool = False
     ) -> tuple[float, bool]:
-        segment, group, local, offset = self._translate(address)
+        # The translation and SRRT lookup of
+        # ``PoMArchitecture.access_timing``, needed here to find the
+        # group's mode and borrow.
+        segment_bytes = self._segment_bytes
+        segment, offset = divmod(address, segment_bytes)
+        if not 0 <= segment < self._total_segments:
+            raise ValueError(f"address {address:#x} outside OS memory")
+        num_fast = self._num_fast
+        if segment < num_fast:
+            group = segment
+            local = 0
+        else:
+            rel = segment - num_fast
+            group = rel % num_fast
+            local = 1 + rel // num_fast
         state = self._groups.get(group)
         if state is None:
             state = self.group_state(group)
@@ -135,20 +149,19 @@ class ChameleonSharedPool(ChameleonOptArchitecture):
         self._revoke_if_invalid(group, now_ns)
         borrow = self._borrows.get(group)
         if borrow is not None and borrow.cached_local == local:
-            _, cache_address = self.geometry.slot_device_address(
-                borrow.donor_group, 0, offset
-            )
             latency = self.memory.access(
-                True, cache_address, now_ns, is_write, segment_id=segment
+                True,
+                borrow.donor_group * segment_bytes + offset,
+                now_ns,
+                is_write,
+                segment_id=segment,
             )
             if is_write:
                 borrow.dirty = True
             self.counters.add("shared_pool.borrow_hits")
             return latency, True
 
-        latency, fast_hit = self._pom_timing(
-            segment, group, local, offset, state, now_ns, is_write
-        )
+        latency, fast_hit = super().access_timing(address, now_ns, is_write)
         if not fast_hit:
             self._maybe_borrow_fill(group, state, local, now_ns)
         return latency, fast_hit

@@ -521,7 +521,10 @@ def _run_batched(
       heap issues accesses in exactly sorted ``(prepared_time, core)``
       order.  This loop keeps one heap entry per core — its next
       prepared access — and pops the global minimum, reproducing that
-      order (ties break on the unique core index in both loops).
+      order (ties break on the unique core index in both loops).  The
+      pop and the push of the core's next access are one
+      ``heapreplace`` of the peeked minimum: with unique ``(time,
+      core)`` keys the pop order is that of pop-then-push.
     * **Clock arithmetic** — the same two float operations per access
       in the same order: ``issue = clock + gap * ns_per_instruction``
       then ``clock = issue + latency / mlp``.
@@ -533,9 +536,11 @@ def _run_batched(
       and folded into the counters/histogram by the bulk accumulators,
       whose per-key fold order matches per-access recording exactly
       (see :meth:`MemoryArchitecture.record_access_batch` and
-      :meth:`repro.dram.DramDevice.flush_deferred_stats`).  Warmup
-      stats are flushed *before* ``counters.reset()`` so the measured
-      window starts from the same state as the scalar loop.
+      :meth:`repro.dram.DramDevice.flush_deferred_stats`).  Deferred
+      device and policy tallies are flushed *before*
+      ``counters.reset()`` so the measured window starts from the same
+      state as the scalar loop; warmup latencies feed only the
+      histogram, which the reset does not clear.
     """
     ns_per_instruction = config.ns_per_instruction
     mlp = config.core.mlp
@@ -544,6 +549,7 @@ def _run_batched(
     timing = architecture.access_timing
     heappush = heapq.heappush
     heappop = heapq.heappop
+    heapreplace = heapq.heapreplace
 
     batch_streams = workload.stream_batches(
         warmup_per_core + accesses_per_core
@@ -613,7 +619,7 @@ def _run_batched(
                 ),
             )
         while heap:
-            issue_ns, core, address, is_write, gap = heappop(heap)
+            issue_ns, core, address, is_write, gap = heap[0]
             latency_ns, fast_hit = timing(address, issue_ns, is_write)
             append(latency_ns)
             if fast_hit:
@@ -651,7 +657,7 @@ def _run_batched(
                     remaining[core] -= 1
                     positions[core] = pos + 1
                     gap = gap_cols[core][pos]
-                    heappush(
+                    heapreplace(
                         heap,
                         (
                             clock + gap * ns_per_instruction,
@@ -661,24 +667,26 @@ def _run_batched(
                             gap,
                         ),
                     )
-                else:
-                    fetched = fetch(core)
-                    if fetched is not None:
-                        remaining[core] -= 1
-                        address, gap, is_write = fetched
-                        heappush(
-                            heap,
-                            (
-                                clock + gap * ns_per_instruction,
-                                core,
-                                address,
-                                is_write,
-                                gap,
-                            ),
-                        )
+                    continue
+                fetched = fetch(core)
+                if fetched is not None:
+                    remaining[core] -= 1
+                    address, gap, is_write = fetched
+                    heapreplace(
+                        heap,
+                        (
+                            clock + gap * ns_per_instruction,
+                            core,
+                            address,
+                            is_write,
+                            gap,
+                        ),
+                    )
+                    continue
+            heappop(heap)
 
-        architecture.record_access_batch(latencies, fast_hits)
         if record_stats:
+            architecture.record_access_batch(latencies, fast_hits)
             for core in range(num_cores):
                 stats = per_core[core]
                 stats.instructions = inst[core]
@@ -686,6 +694,10 @@ def _run_batched(
                 stats.memory_latency_ns = mlat[core]
             epoch_state["issued"] = issued
             epoch_state["fast_hits"] = fast_hits
+        else:
+            # ``counters.reset()`` discards a warmup arch.* fold; only
+            # the never-reset latency histogram keeps these outcomes.
+            architecture.latency_histogram.observe_array(latencies)
 
     architecture.begin_batch_stats()
     try:
@@ -773,6 +785,7 @@ def _run_batched_paged(
     access_translate = pager.access_translate
     heappush = heapq.heappush
     heappop = heapq.heappop
+    heapreplace = heapq.heapreplace
     page_bytes = pager.page_bytes
 
     batch_streams = workload.stream_batches(
@@ -960,11 +973,13 @@ def _run_batched_paged(
                 remaining[core] -= 1
 
         while heap:
-            entry = heappop(heap)
+            entry = heap[0]
             if entry[2] == _K_FAULT:
                 # Slow-path lane, popped at its scalar prepare key: the
                 # pager sees faults, evictions, and (stale-horizon)
-                # resident hits in exactly the reference order.
+                # resident hits in exactly the reference order.  It
+                # leaves the heap first: ``divert_stale`` rebuilds it.
+                heappop(heap)
                 prep_ns, core, _, address, gap, gapns, is_write = entry
                 apply_touches((prep_ns, core))
                 clock = prep_ns + gapns
@@ -1033,7 +1048,7 @@ def _run_batched_paged(
                     index = pos - trans_base[core]
                     pending_append((clock, core, page_cols[core][index]))
                     fastpath_hits += 1
-                    heappush(
+                    heapreplace(
                         heap,
                         (
                             clock + gapns_cols[core][pos],
@@ -1045,8 +1060,14 @@ def _run_batched_paged(
                         ),
                     )
                     remaining[core] -= 1
-                elif push_next(core, clock):
+                    continue
+                # ``push_next`` may read the heap minimum (touch-backlog
+                # compaction), so the issued entry leaves first.
+                heappop(heap)
+                if push_next(core, clock):
                     remaining[core] -= 1
+            else:
+                heappop(heap)
 
         # Phase barrier: every remaining recency update lands before
         # anything from the next phase (the scalar loop performed them
@@ -1054,8 +1075,8 @@ def _run_batched_paged(
         # folded into the pager's (integer) counter in bulk.
         apply_touches(None)
         pager.note_resident_hits(fastpath_hits)
-        architecture.record_access_batch(latencies, fast_hits)
         if record_stats:
+            architecture.record_access_batch(latencies, fast_hits)
             for core in range(num_cores):
                 stats = per_core[core]
                 stats.instructions = inst[core]
@@ -1065,6 +1086,8 @@ def _run_batched_paged(
                 stats.fault_cycles = float(fcycles[core])
             epoch_state["issued"] = issued
             epoch_state["fast_hits"] = fast_hits
+        else:
+            architecture.latency_histogram.observe_array(latencies)
 
     architecture.begin_batch_stats()
     try:

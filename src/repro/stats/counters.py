@@ -10,10 +10,24 @@ timelines.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Dict, Iterable, Iterator, Mapping
+from typing import Any, Dict, Iterator, Mapping, Sequence
+
+import numpy as np
 
 #: Version of the :meth:`CounterSet.to_dict` wire format.
 COUNTERS_SCHEMA_VERSION = 1
+
+def fold_sum(start: float, values: Sequence[float]) -> float:
+    """``start + values[0] + values[1] + ...`` added strictly left to
+    right, bit-identical to a Python ``for`` loop of ``+=``.
+
+    ``np.add.accumulate`` is a sequential loop; neither ``sum()``
+    (compensated since Python 3.12) nor ``np.sum`` (pairwise) is.
+    """
+    terms = np.empty(len(values) + 1)
+    terms[0] = start
+    terms[1:] = values
+    return float(np.add.accumulate(terms)[-1])
 
 
 class CounterSet:
@@ -31,40 +45,40 @@ class CounterSet:
             raise ValueError(f"counter increments must be >= 0, got {amount}")
         self._counts[name] += amount
 
-    def add_many(self, name: str, amounts: Iterable[float]) -> None:
+    def add_many(self, name: str, amounts: Sequence[float]) -> None:
         """Fold ``amounts`` into ``name`` one by one, left to right.
 
         Bulk analogue of calling :meth:`add` per element, with a single
         dict access for the whole batch.  The accumulation is a
-        sequential left fold from the counter's current value, so the
-        result is bit-identical to the per-element loop — the property
-        the batched simulation kernel's parity guarantee rests on.
+        sequential left fold from the counter's current value
+        (:func:`fold_sum`), so the result is bit-identical to the
+        per-element loop — the property the batched simulation kernel's
+        parity guarantee rests on.
         """
-        total = self._counts[name]
-        for amount in amounts:
-            if amount < 0:
-                raise ValueError(
-                    f"counter increments must be >= 0, got {amount}"
-                )
-            total += amount
-        self._counts[name] = total
+        values = np.asarray(amounts, dtype=np.float64)
+        negative = np.flatnonzero(values < 0)
+        if negative.size:
+            raise ValueError(
+                f"counter increments must be >= 0, "
+                f"got {amounts[negative[0]]}"
+            )
+        self._counts[name] = fold_sum(self._counts[name], values)
 
     def add_repeat(self, name: str, amount: float, count: int) -> None:
         """Apply ``count`` sequential increments of the same ``amount``.
 
-        Equivalent to ``add_many(name, [amount] * count)`` without
-        building the list; used to flush deferred constant-sized
-        contributions (e.g. per-burst DRAM bus occupancy) while keeping
-        the float accumulation order of the scalar path.
+        Equivalent to ``add_many(name, [amount] * count)``; used to
+        flush deferred constant-sized contributions (e.g. per-burst DRAM
+        bus occupancy) while keeping the float accumulation order of the
+        scalar path.
         """
         if amount < 0:
             raise ValueError(f"counter increments must be >= 0, got {amount}")
         if count < 0:
             raise ValueError(f"repeat count must be >= 0, got {count}")
-        total = self._counts[name]
-        for _ in range(count):
-            total += amount
-        self._counts[name] = total
+        self._counts[name] = fold_sum(
+            self._counts[name], np.full(count, amount, dtype=np.float64)
+        )
 
     def __getitem__(self, name: str) -> float:
         return self._counts.get(name, 0.0)

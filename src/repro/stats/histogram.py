@@ -7,6 +7,8 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.stats.counters import fold_sum
+
 
 class Histogram:
     """Histogram over half-open buckets ``[b[i], b[i+1])``.
@@ -70,10 +72,7 @@ class Histogram:
         ):
             self._buckets[index] += int(weight)
         self._count += len(array)
-        total = self._total
-        for value in values:
-            total += value
-        self._total = total
+        self._total = fold_sum(self._total, array)
         lo = float(array.min())
         hi = float(array.max())
         self._min = lo if self._min is None else min(self._min, lo)

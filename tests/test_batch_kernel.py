@@ -10,7 +10,9 @@ bulk counter/histogram accumulators.
 """
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from repro.config import scaled_config
@@ -328,6 +330,61 @@ class TestWarmupBoundary:
             == result.counters["arch.latency_ns"] / measured
         )
 
+    #: One counter per fused demand path that the batched kernels defer
+    #: while batch stats are on: a device tally for PoM, the per-access
+    #: policy tallies for the others.
+    DEFERRED_COUNTER = {
+        "PoM": "dram.stacked.accesses",
+        "Chameleon": "chameleon.cache_misses",
+        "Chameleon-Opt": "chameleon.cache_hits",
+        "Alloy-Cache": "alloy.hits",
+    }
+
+    @staticmethod
+    def _run_split(label, kernel):
+        """Run a tiny cell; return its result, its telemetry events and
+        the counters as they stood just before the warmup reset."""
+        config = scaled_config(fast_mb=1.0)
+        architecture = REGISTRY.get(label).factory(config)
+        counters = architecture.counters
+        before_reset = []
+        reset = counters.reset
+
+        def snapshot_then_reset():
+            before_reset.append(counters.snapshot())
+            reset()
+
+        counters.reset = snapshot_then_reset
+        bus = EventBus()
+        log = EventLog()
+        bus.subscribe(log)
+        result = simulate(
+            architecture,
+            _smoke_workload(config),
+            accesses_per_core=300,
+            warmup_per_core=300,
+            telemetry=bus,
+            kernel=kernel,
+        )
+        (warmup,) = before_reset
+        return result, [event.to_dict() for event in log.events], warmup
+
+    @pytest.mark.parametrize("label", sorted(DEFERRED_COUNTER))
+    def test_fused_paths_match_scalar_across_reset(self, label):
+        scalar_result, scalar_events, scalar_warmup = self._run_split(
+            label, "scalar"
+        )
+        auto_result, auto_events, auto_warmup = self._run_split(label, "auto")
+        assert json.dumps(
+            auto_result.to_dict(), sort_keys=True
+        ) == json.dumps(scalar_result.to_dict(), sort_keys=True)
+        assert auto_events == scalar_events
+        # The deferred tallies reach the counters on both sides of the
+        # reset: flushed in full before it, restarted from zero after.
+        name = self.DEFERRED_COUNTER[label]
+        assert auto_warmup[name] == scalar_warmup[name] > 0
+        assert auto_result.counters[name] > 0
+
     def test_trailing_epoch_flush_with_telemetry(self):
         """A measured total not divisible by the epoch stride emits one
         trailing partial EpochSample covering the leftovers, and its
@@ -356,6 +413,48 @@ class TestWarmupBoundary:
 
 class TestBulkAccumulators:
     """The bulk accumulator primitives the batched kernel relies on."""
+
+    #: Mixed magnitudes where the summation order shows: a strict left
+    #: fold from 1e16 drops every +1.0 (half an ulp, rounded to even),
+    #: while compensated (``math.fsum``, ``sum()`` on Python >= 3.12) and
+    #: pairwise (``np.sum``) summation keep them.
+    ADVERSARIAL = [1e16] + [1.0] * 1000 + [0.1, 3e-17, 2.5e15, 7.0]
+
+    @staticmethod
+    def _left_fold(start, values):
+        total = start
+        for value in values:
+            total += value
+        return total
+
+    def test_add_many_is_a_strict_left_fold(self):
+        bulk = CounterSet({"k": 0.3})
+        bulk.add_many("k", self.ADVERSARIAL)
+        expected = self._left_fold(0.3, self.ADVERSARIAL)
+        assert bulk["k"] == expected
+        assert expected != math.fsum([0.3, *self.ADVERSARIAL])
+        assert expected != float(np.sum([0.3, *self.ADVERSARIAL]))
+
+    def test_add_many_rejects_negative_increments(self):
+        counters = CounterSet({"k": 1.0})
+        with pytest.raises(ValueError, match="got -2.5"):
+            counters.add_many("k", [0.5, -2.5, 1.0])
+        assert counters["k"] == 1.0
+
+    def test_add_repeat_is_a_strict_left_fold(self):
+        bulk = CounterSet({"k": 1e16})
+        bulk.add_repeat("k", 1.0, 1000)
+        assert bulk["k"] == self._left_fold(1e16, [1.0] * 1000) == 1e16
+        assert bulk["k"] != math.fsum([1e16] + [1.0] * 1000)
+
+    def test_observe_array_total_is_a_strict_left_fold(self):
+        bulk = Histogram.linear(0.0, 128.0, 8)
+        sequential = Histogram.linear(0.0, 128.0, 8)
+        bulk.observe_array(self.ADVERSARIAL)
+        for value in self.ADVERSARIAL:
+            sequential.record(value)
+        assert bulk.mean == sequential.mean
+        assert bulk.buckets() == sequential.buckets()
 
     def test_add_many_matches_sequential_adds(self):
         bulk = CounterSet()

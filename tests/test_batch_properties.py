@@ -5,8 +5,9 @@ These pin the parities the batched kernels lean on at arbitrary
 shapes, not just the shapes the simulators happen to produce today:
 ``RecordBatch`` column surgery (records/concat/buffer round trips) is
 lossless, workload batch streams replay the exact scalar RNG order,
-and :meth:`Histogram.observe_array` is bit-identical to the scalar
-:meth:`Histogram.record` loop.
+and :meth:`Histogram.observe_array`, :meth:`CounterSet.add_many` and
+:meth:`CounterSet.add_repeat` are bit-identical to their scalar
+per-value loops.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.stats import CounterSet
 from repro.stats.histogram import Histogram
 from repro.trace.batch import BUFFER_ALIGNMENT, RecordBatch, align_offset
 from repro.trace.records import AccessRecord
@@ -45,6 +47,20 @@ finite_floats = st.floats(
 sorted_bounds = st.lists(
     finite_floats, min_size=1, max_size=8, unique=True
 ).map(sorted)
+
+#: Non-negative values of very different magnitudes, where a left fold,
+#: a compensated sum and a pairwise sum round differently.
+mixed_magnitudes = st.one_of(
+    st.floats(min_value=0.0, max_value=1e-12),
+    st.floats(min_value=0.0, max_value=1e3),
+    st.floats(min_value=1e15, max_value=1e18),
+)
+
+signed_mixed_magnitudes = st.one_of(
+    finite_floats,
+    mixed_magnitudes,
+    mixed_magnitudes.map(lambda value: -value),
+)
 
 
 def assert_batches_equal(a: RecordBatch, b: RecordBatch) -> None:
@@ -152,7 +168,7 @@ class TestStreamBatchOrder:
 class TestHistogramProperties:
     @given(
         bounds=sorted_bounds,
-        values=st.lists(finite_floats, min_size=1, max_size=300),
+        values=st.lists(signed_mixed_magnitudes, min_size=1, max_size=300),
     )
     def test_observe_array_matches_scalar_record(self, bounds, values):
         scalar = Histogram(bounds)
@@ -196,3 +212,35 @@ class TestHistogramProperties:
         assert hist.percentile(0.0) <= hist.percentile(1.0)
         with pytest.raises(ValueError):
             hist.percentile(1.5)
+
+
+# ----------------------------------------------------------------------
+# CounterSet: bulk folds == scalar add, bit for bit
+# ----------------------------------------------------------------------
+
+
+class TestCounterFoldProperties:
+    @given(
+        start=mixed_magnitudes,
+        values=st.lists(mixed_magnitudes, max_size=300),
+    )
+    def test_add_many_matches_scalar_add(self, start, values):
+        bulk = CounterSet({"k": start})
+        scalar = CounterSet({"k": start})
+        bulk.add_many("k", values)
+        for value in values:
+            scalar.add("k", value)
+        assert bulk["k"] == scalar["k"]
+
+    @given(
+        start=mixed_magnitudes,
+        amount=mixed_magnitudes,
+        count=st.integers(min_value=0, max_value=600),
+    )
+    def test_add_repeat_matches_scalar_add(self, start, amount, count):
+        bulk = CounterSet({"k": start})
+        scalar = CounterSet({"k": start})
+        bulk.add_repeat("k", amount, count)
+        for _ in range(count):
+            scalar.add("k", amount)
+        assert bulk["k"] == scalar["k"]
