@@ -31,13 +31,6 @@ class MemoryArchitecture(abc.ABC):
 
     name: str = "abstract"
 
-    #: Whether the batched replay kernel may drive this design through
-    #: :meth:`access_timing` with deferred stat aggregation.  True for
-    #: every in-tree design — the kernel preserves exact access order —
-    #: but exotic subclasses that read ``arch.*``/device counters from
-    #: inside the demand path can opt out.
-    supports_batch_kernel: bool = True
-
     def __init__(
         self,
         config: SystemConfig,
@@ -86,7 +79,7 @@ class MemoryArchitecture(abc.ABC):
 
         Thin wrapper over :meth:`access_timing` kept as the public
         scalar entry point (tests and tools poke architectures one
-        access at a time); the batched kernel skips the per-access
+        access at a time); the chunked kernel skips the per-access
         :class:`AccessResult` allocation by using ``access_timing``
         directly.
         """
@@ -145,7 +138,7 @@ class MemoryArchitecture(abc.ABC):
             self.counters.add("arch.fast_hits", fast_hits)
 
     # ------------------------------------------------------------------
-    # Bulk-stats plumbing for the batched kernel
+    # Bulk-stats plumbing for the chunked kernel
     # ------------------------------------------------------------------
 
     def _batch_devices(self) -> tuple:

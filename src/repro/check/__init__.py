@@ -4,7 +4,7 @@ The correctness-tooling subsystem behind ``python -m repro.experiments
 check``: a content-addressed :class:`GoldenStore` of blessed result and
 event-stream digests (committed under ``tests/goldens/``), a
 differential oracle that runs every execution path the codebase offers
-for a cell — scalar vs batched vs batched-paged kernels, arena-on vs
+for a cell — the scalar reference vs the chunked kernel, arena-on vs
 arena-off workers, cold vs warm result cache, direct vs
 :mod:`repro.serve` round trip — and asserts byte-identical canonical
 results, a metamorphic invariant pack, and a bounded seeded config

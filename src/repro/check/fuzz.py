@@ -96,10 +96,6 @@ def check_kernel_parity(case: FuzzCase) -> InvariantResult:
     from repro.check.oracle import _captured
 
     decision = kernel_decision(case.design, case.scale.config())
-    if decision.kernel == "scalar":
-        return InvariantResult(
-            "kernel-parity", True, f"skipped: {decision.reason}"
-        )
     reference, ref_events = _captured(
         case.scale, case.design, case.workload, kernel="scalar"
     )

@@ -2,7 +2,7 @@
 
 The codebase has many ways to produce one
 :class:`~repro.sim.SimulationResult`: the scalar reference loop, the
-batched and batched-paged fast kernels, arena-attached worker
+chunked fast kernel (with or without its pager), arena-attached worker
 processes, inline serial execution, warm :class:`ResultCache` replays,
 and the :mod:`repro.serve` round trip.  The paper's claims rest on all
 of them being *the same simulation*; :func:`run_execution_paths` runs
@@ -175,20 +175,17 @@ def run_execution_paths(
         PathResult(PATH_SCALAR, result_digest(result), events_digest(events))
     )
 
-    # 2. The auto-selected kernel, when it is not already the scalar one.
+    # 2. The chunked kernel, under its auto-selected case label.
     decision = kernel_decision(design, scale.config())
-    if decision.kernel != "scalar":
-        result, events = _captured(
-            scale, design, workload, kernel=decision.kernel
+    result, events = _captured(scale, design, workload, kernel=decision.kernel)
+    paths.append(
+        PathResult(
+            f"kernel:{decision.kernel}",
+            result_digest(result),
+            events_digest(events),
+            detail=decision.reason,
         )
-        paths.append(
-            PathResult(
-                f"kernel:{decision.kernel}",
-                result_digest(result),
-                events_digest(events),
-                detail=decision.reason,
-            )
-        )
+    )
 
     # 3. The sweep runtime, inline serial, arena off.
     result, events, _ = _executor_path(
@@ -400,15 +397,11 @@ def check_warmup_boundary(
 ) -> InvariantResult:
     """Kernel parity holds at awkward warmup boundaries.
 
-    The batched kernels must cut the measured window at exactly the
+    The chunked kernel must cut the measured window at exactly the
     scalar loop's record — including a zero-length warmup and a
     one-access warmup that ends mid-chunk.
     """
     decision = kernel_decision(design, scale.config())
-    if decision.kernel == "scalar":
-        return InvariantResult(
-            "warmup-boundary", True, f"skipped: {decision.reason}"
-        )
     problems: List[str] = []
     for warmup in (0, 1):
         probe = dataclasses.replace(scale, warmup_per_core=warmup)

@@ -60,7 +60,7 @@ class DramDevice:
         self._banks_per_channel = (
             config.ranks_per_channel * config.banks_per_rank
         )
-        # Deferred demand-access accounting (the batched kernel's bulk
+        # Deferred demand-access accounting (the chunked kernel's bulk
         # stats mode): instead of five counter updates per access, the
         # device tallies plain ints and flushes them in bulk.  All
         # deferred quantities are integral except bus occupancy, which

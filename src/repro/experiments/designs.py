@@ -187,13 +187,12 @@ def _autonuma(threshold: float) -> DesignFactory:
 
 
 def kernel_decision(label: str, config: SystemConfig) -> KernelDecision:
-    """Which replay kernel ``kernel="auto"`` resolves to for ``label``.
+    """Which chunked-kernel case ``kernel="auto"`` runs for ``label``.
 
     Builds the design's architecture at ``config`` and asks
-    :func:`repro.sim.select_kernel` (with no workload — the decision is
-    label-level, every registry workload provides ``stream_batches``).
-    Used by the sweep runtime and the serving layer to surface *why* a
-    design runs on a given kernel without simulating anything.
+    :func:`repro.sim.select_kernel` whether it is pager-backed.  Used
+    by the sweep runtime and the serving layer to surface the case a
+    design runs without simulating anything.
     """
     architecture = REGISTRY.get(label).factory(config)
     pager_present = (

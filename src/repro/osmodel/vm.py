@@ -212,11 +212,6 @@ class PageFaultEngine:
         # :meth:`translate_batch` can resolve whole columns with one
         # vectorised lookup.  Grown geometrically on demand.
         self._frame_table = np.full(1024, -1, dtype=np.int64)
-        # Bumped on every eviction: a batched kernel holding
-        # pre-translated columns must revalidate them when the epoch
-        # moves (insertions never invalidate an existing translation,
-        # so they do not bump it).
-        self._epoch = 0
 
     def _table_set(self, page: int, frame: int) -> None:
         table = self._frame_table
@@ -251,7 +246,6 @@ class PageFaultEngine:
                 self._swapped_out.add(victim)
                 self._free_frames.append(freed)
                 self._frame_table[victim] = -1
-                self._epoch += 1
             if self._free_frames:
                 frame = self._free_frames.pop()
             else:
@@ -288,7 +282,6 @@ class PageFaultEngine:
             self._free_frames.append(freed)
             self.counters.add("fault.evictions")
             self._frame_table[victim] = -1
-            self._epoch += 1
             major = True
         if self._free_frames:
             frame = self._free_frames.pop()
@@ -306,7 +299,7 @@ class PageFaultEngine:
         self.counters.add("fault.minor_faults")
         return 0, frame * self.page_bytes + offset
 
-    # -- vectorised fast path (the batched-paged kernel) ---------------
+    # -- vectorised fast path (the chunked kernel's paged case) -------
 
     def translate_batch(
         self, addresses: np.ndarray
@@ -317,8 +310,9 @@ class PageFaultEngine:
         prefix of ``addresses`` up to (excluding) the first lane whose
         page is not resident, the pages of that prefix, and its length.
         ``n_resident == len(addresses)`` means the whole column is
-        resident.  Pure lookup — no LRU recency update, no counters, no
-        events; the caller replays those effects (see
+        resident.  The translations hold until the next eviction.
+        Pure lookup — no LRU recency update, no counters, no events; the
+        caller replays those effects (see
         :meth:`touch_resident` / :meth:`note_resident_hits`) to stay
         bit-identical with the scalar :meth:`access_translate` path.
         """
@@ -364,11 +358,6 @@ class PageFaultEngine:
         if len(self._resident) < self.capacity_pages:
             return None
         return next(iter(self._resident))
-
-    @property
-    def epoch(self) -> int:
-        """Eviction counter; see ``_epoch``."""
-        return self._epoch
 
     @property
     def page_faults(self) -> int:

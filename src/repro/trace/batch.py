@@ -55,16 +55,6 @@ class RecordBatch:
     def __len__(self) -> int:
         return len(self.addresses)
 
-    def gaps_ns(self, ns_per_instruction: float) -> np.ndarray:
-        """Per-record instruction-gap durations as ``float64`` ns.
-
-        Elementwise ``icount_gap * ns_per_instruction`` — bit-identical
-        to the scalar loop's per-record multiply (both are a single
-        IEEE-754 double operation on an exactly-converted gap), hoisted
-        to one vectorised pass per chunk for the batched kernels.
-        """
-        return self.icount_gaps * ns_per_instruction
-
     def records(self) -> Iterator[AccessRecord]:
         """Scalar-compatibility view: yield one record per row."""
         for address, is_write, gap in zip(

@@ -105,7 +105,7 @@ class MultiprogramWorkload:
         self, accesses_per_core: int
     ) -> List[Iterator[RecordBatch]]:
         """Column-batch form of :meth:`streams` (same records, same
-        seeds) for the batched replay kernel."""
+        seeds) for the chunked replay kernel."""
         if self.trace is not None:
             return self.trace.stream_batches(accesses_per_core)
         return [

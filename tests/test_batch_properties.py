@@ -1,26 +1,37 @@
-"""Hypothesis property tests for the columnar trace layer and the
-bulk statistics accumulators.
+"""Hypothesis property tests for the chunked replay kernel, the
+columnar trace layer and the bulk statistics accumulators.
 
-These pin the parities the batched kernels lean on at arbitrary
+These pin the parities the chunked kernel leans on at arbitrary
 shapes, not just the shapes the simulators happen to produce today:
-``RecordBatch`` column surgery (records/concat/buffer round trips) is
-lossless, workload batch streams replay the exact scalar RNG order,
-and :meth:`Histogram.observe_array`, :meth:`CounterSet.add_many` and
+the kernel matches the scalar reference with and without a pager at
+any core count, warmup and run length; ``RecordBatch`` column surgery
+(records/concat/buffer round trips) is lossless, workload batch
+streams replay the exact scalar RNG order, and
+:meth:`Histogram.observe_array`, :meth:`CounterSet.add_many` and
 :meth:`CounterSet.add_repeat` are bit-identical to their scalar
 per-value loops.
 """
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.arch import FlatMemory
+from repro.experiments.runner import SMOKE_SCALE
+from repro.sim import simulate
 from repro.stats import CounterSet
 from repro.stats.histogram import Histogram
+from repro.telemetry.bus import EventBus
+from repro.telemetry.recorder import EventLog
 from repro.trace.batch import BUFFER_ALIGNMENT, RecordBatch, align_offset
 from repro.trace.records import AccessRecord
 from repro.workloads import benchmark, build_workload
 from tests.conftest import tiny_scale
+
+SMOKE_CONFIG = SMOKE_SCALE.config()
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -67,6 +78,61 @@ def assert_batches_equal(a: RecordBatch, b: RecordBatch) -> None:
     np.testing.assert_array_equal(a.addresses, b.addresses)
     np.testing.assert_array_equal(a.icount_gaps, b.icount_gaps)
     np.testing.assert_array_equal(a.is_writes, b.is_writes)
+
+
+# ----------------------------------------------------------------------
+# Chunked kernel == scalar reference at arbitrary run shapes
+# ----------------------------------------------------------------------
+
+
+class TestChunkedKernelShapes:
+    """``kernel="auto"`` against the scalar loop on a flat device whose
+    capacity ranges from the whole address space (no pager) down to one
+    page (every access faults), at 1-12 cores, zero or short warmups
+    and short or chunk-spanning runs."""
+
+    #: OS-visible fraction of the total capacity; 1.0 is pager-free.
+    FRACTIONS = (1.0, 1e-7, 1e-3, 0.02, 0.6)
+
+    @staticmethod
+    def _run(fraction, num_copies, warmup, accesses, name, kernel):
+        config = SMOKE_CONFIG
+        capacity = max(
+            int(config.total_capacity_bytes * fraction), config.page_bytes
+        )
+        workload = build_workload(
+            config,
+            benchmark(name),
+            num_copies=num_copies,
+            seed=SMOKE_SCALE.seed,
+        )
+        bus = EventBus()
+        log = EventLog()
+        bus.subscribe(log)
+        result = simulate(
+            FlatMemory(config, capacity_bytes=capacity),
+            workload,
+            accesses_per_core=accesses,
+            warmup_per_core=warmup,
+            telemetry=bus,
+            kernel=kernel,
+        )
+        events = [event.to_dict() for event in log.events]
+        return json.dumps(result.to_dict(), sort_keys=True), events
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        fraction=st.sampled_from(FRACTIONS),
+        num_copies=st.integers(min_value=1, max_value=12),
+        warmup=st.integers(min_value=0, max_value=64),
+        accesses=st.integers(min_value=1, max_value=160),
+        name=st.sampled_from(["mcf", "lbm", "stream"]),
+    )
+    def test_auto_matches_scalar(
+        self, fraction, num_copies, warmup, accesses, name
+    ):
+        shape = (fraction, num_copies, warmup, accesses, name)
+        assert self._run(*shape, "auto") == self._run(*shape, "scalar")
 
 
 # ----------------------------------------------------------------------

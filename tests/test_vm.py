@@ -183,15 +183,6 @@ class TestTranslateBatch:
         _, _, n_resident = engine.translate_batch(addresses)
         assert n_resident == 1
 
-    def test_epoch_bumps_on_eviction_not_insertion(self):
-        engine = PageFaultEngine(2 * PAGE_BYTES)
-        start = engine.epoch
-        engine.access(0)            # insertion, no eviction
-        engine.access(PAGE_BYTES)   # insertion, no eviction
-        assert engine.epoch == start
-        engine.access(2 * PAGE_BYTES)  # evicts page 0
-        assert engine.epoch == start + 1
-
     def test_eviction_invalidates_frame_table(self):
         engine = PageFaultEngine(2 * PAGE_BYTES)
         engine.access(0)
