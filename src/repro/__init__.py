@@ -76,7 +76,6 @@ from repro.workloads import (
 from repro.stats import geomean, normalize_to
 from repro.cachesim import CacheHierarchy, CoherentHierarchy
 from repro.dram import system_energy
-from repro.osmodel import BufferCache, MemoryBoundScheduler
 from repro.trace.stats import characterize
 
 from repro._version import __version__
@@ -124,8 +123,6 @@ __all__ = [
     "CacheHierarchy",
     "CoherentHierarchy",
     "system_energy",
-    "BufferCache",
-    "MemoryBoundScheduler",
     "characterize",
     "__version__",
 ]

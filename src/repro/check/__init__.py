@@ -28,10 +28,8 @@ from repro.check.goldens import (
     scale_identity,
 )
 from repro.check.oracle import (
-    CellVerdict,
     InvariantResult,
     PathResult,
-    run_cell_oracles,
     run_execution_paths,
     run_invariants,
 )
@@ -54,7 +52,6 @@ from repro.check.runner import (
 
 __all__ = [
     "CellReport",
-    "CellVerdict",
     "CheckReport",
     "DEFAULT_SAMPLE",
     "FuzzCase",
@@ -78,7 +75,6 @@ __all__ = [
     "generate_cases",
     "payload_digest",
     "result_digest",
-    "run_cell_oracles",
     "run_check",
     "run_check_command",
     "run_execution_paths",

@@ -21,12 +21,12 @@ from __future__ import annotations
 import dataclasses
 import tempfile
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.check.canonical import events_digest, payload_digest, result_digest
-from repro.experiments.designs import REGISTRY, kernel_decision
+from repro.experiments.designs import kernel_decision
 from repro.runtime import ResultCache, SweepExecutor
 from repro.runtime.cells import simulate_cell
 from repro.telemetry import EventBus
@@ -81,28 +81,6 @@ class InvariantResult:
             "passed": self.passed,
             "detail": self.detail,
         }
-
-
-@dataclass
-class CellVerdict:
-    """Everything the oracles measured for one cell."""
-
-    design: str
-    workload: str
-    paths: List[PathResult] = field(default_factory=list)
-    invariants: List[InvariantResult] = field(default_factory=list)
-
-    @property
-    def paths_agree(self) -> bool:
-        results = {p.result_digest for p in self.paths}
-        events = {
-            p.events_digest for p in self.paths if p.events_digest is not None
-        }
-        return len(results) <= 1 and len(events) <= 1
-
-    @property
-    def passed(self) -> bool:
-        return self.paths_agree and all(i.passed for i in self.invariants)
 
 
 def _cell_scale(scale: Any, workload: str) -> Any:
@@ -487,31 +465,7 @@ def run_invariants(
     return invariants
 
 
-def run_cell_oracles(
-    scale: Any,
-    design: str,
-    workload: str,
-    *,
-    pool: bool = True,
-    serve: bool = True,
-    invariants: bool = True,
-) -> CellVerdict:
-    """Differential paths plus (optionally) the metamorphic pack."""
-    if design not in REGISTRY:
-        raise KeyError(f"unknown design {design!r}")
-    verdict = CellVerdict(design=design, workload=workload)
-    verdict.paths = run_execution_paths(
-        scale, design, workload, pool=pool, serve=serve
-    )
-    if invariants:
-        verdict.invariants = run_invariants(
-            scale, design, workload, serve=serve
-        )
-    return verdict
-
-
 __all__ = [
-    "CellVerdict",
     "InvariantResult",
     "PATH_CACHE_COLD",
     "PATH_CACHE_WARM",
@@ -525,7 +479,6 @@ __all__ = [
     "check_seed_determinism",
     "check_telemetry_transparency",
     "check_warmup_boundary",
-    "run_cell_oracles",
     "run_execution_paths",
     "run_invariants",
 ]

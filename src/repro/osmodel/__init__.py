@@ -12,11 +12,10 @@ ISA-Alloc / ISA-Free for every hardware segment covered by the page
 * :mod:`repro.osmodel.vm` — per-process address spaces, first-touch
   mapping, 4KB pages and 2MB transparent huge pages, and the SSD-backed
   page-fault engine;
-* :mod:`repro.osmodel.numa` — the NUMA-aware first-touch allocator over
-  a fast node and a slow node (Section II-B1 / III-A1);
 * :mod:`repro.osmodel.autonuma` — Linux AutoNUMA balancing with scan
   epochs, migration thresholds and the -ENOMEM capacity failure
-  (Section II-B2 / III-A2);
+  (Section II-B2 / III-A2); the first-touch placement it starts from is
+  :class:`repro.sim.os_designs.FirstTouchMemory`;
 * :mod:`repro.osmodel.longrun` — the multi-day workload-sequence model
   behind Figures 3, 4 and 5.
 """
@@ -24,15 +23,12 @@ ISA-Alloc / ISA-Free for every hardware segment covered by the page
 from repro.osmodel.buddy import BuddyAllocator, OutOfMemoryError
 from repro.osmodel.hooks import IsaNotifier, NullNotifier, PageHookDispatcher
 from repro.osmodel.vm import AddressSpace, PageFaultEngine, VirtualMemory
-from repro.osmodel.numa import FirstTouchAllocator, NumaNode
 from repro.osmodel.autonuma import AutoNumaBalancer, AutoNumaConfig
 from repro.osmodel.longrun import (
     LongRunSimulator,
     WorkloadPhase,
     WorkloadSpec,
 )
-from repro.osmodel.buffer_cache import BufferCache
-from repro.osmodel.jobsched import Job, JobRecord, MemoryBoundScheduler, QueueReport
 
 __all__ = [
     "BuddyAllocator",
@@ -43,16 +39,9 @@ __all__ = [
     "AddressSpace",
     "PageFaultEngine",
     "VirtualMemory",
-    "FirstTouchAllocator",
-    "NumaNode",
     "AutoNumaBalancer",
     "AutoNumaConfig",
     "LongRunSimulator",
     "WorkloadPhase",
     "WorkloadSpec",
-    "BufferCache",
-    "Job",
-    "JobRecord",
-    "MemoryBoundScheduler",
-    "QueueReport",
 ]

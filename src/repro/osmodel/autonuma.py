@@ -119,16 +119,6 @@ class AutoNumaBalancer:
             self._fast_used += 1
         self._placement[page] = node
 
-    def place_first_touch(self, page: int) -> int:
-        """Place preferring the fast node, spilling when full."""
-        node = (
-            FAST_NODE
-            if self._fast_used < self.fast_capacity_pages
-            else SLOW_NODE
-        )
-        self.place(page, node)
-        return node
-
     def node_of(self, page: int) -> int:
         return self._placement[page]
 

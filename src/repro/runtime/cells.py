@@ -86,9 +86,9 @@ def simulate_cell(
 def timed_cell(
     args: Tuple,
 ) -> Tuple[str, str, float, SimulationResult, List[Dict]]:
-    """Worker-process entry point: ``(scale, design, workload[,
-    capture, audit[, fault, hang_seconds[, arena]]])`` in, ``(design,
-    workload, seconds, result, events)`` out.
+    """Worker-process entry point: ``(scale, design, workload, capture,
+    audit, fault, hang_seconds, arena)`` in, ``(design, workload,
+    seconds, result, events)`` out.
 
     ``events`` is a list of :meth:`TelemetryEvent.to_dict` dicts (events
     themselves carry no pickle guarantee across versions; the dict form
@@ -107,12 +107,6 @@ def timed_cell(
     (segment gone, stale manifest) silently falls back to generation —
     the records are byte-identical either way.
     """
-    if len(args) == 3:
-        args = (*args, False, False)
-    if len(args) == 5:
-        args = (*args, None, 0.0)
-    if len(args) == 7:
-        args = (*args, None)
     scale, design, workload, capture, audit, fault, hang_seconds, arena = args
     if fault is not None:
         apply_fault(fault, serial=False, hang_seconds=hang_seconds)

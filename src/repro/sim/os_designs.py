@@ -48,12 +48,15 @@ class FirstTouchMemory(MemoryArchitecture):
         self._slow_used = 0
         self._free_fast_slots: list[int] = []
         self._free_slow_slots: list[int] = []
+        #: Fast segments first-touch may fill before spilling to slow.
+        self._fast_budget = self.geometry.num_fast_segments
 
     def isa_alloc(self, segment_id: int) -> None:
-        """Allocation-order placement: fast node until it is full."""
+        """Allocation-order placement: fast node until its budget is
+        used up."""
         if segment_id in self._placement:
             return
-        in_fast = self._fast_used < self.geometry.num_fast_segments
+        in_fast = self._fast_used < self._fast_budget
         self._placement[segment_id] = in_fast
         if in_fast:
             self._slot[segment_id] = (
@@ -153,39 +156,16 @@ class AutoNumaMemory(FirstTouchMemory):
     def isa_alloc(self, segment_id: int) -> None:
         if segment_id in self._placement:
             return
-        in_fast = self._fast_used < self._fast_budget
-        self._placement[segment_id] = in_fast
+        super().isa_alloc(segment_id)
         self.balancer.place(
-            segment_id, FAST_NODE if in_fast else SLOW_NODE
+            segment_id,
+            FAST_NODE if self._placement[segment_id] else SLOW_NODE,
         )
-        if in_fast:
-            self._slot[segment_id] = (
-                self._free_fast_slots.pop()
-                if self._free_fast_slots
-                else self._fast_used
-            )
-            self._fast_used += 1
-            self.counters.add("numa.placed_fast")
-        else:
-            self._slot[segment_id] = (
-                self._free_slow_slots.pop()
-                if self._free_slow_slots
-                else self._slow_used % self.geometry.num_slow_segments
-            )
-            self._slow_used += 1
-            self.counters.add("numa.placed_slow")
 
     def isa_free(self, segment_id: int) -> None:
-        placed = self._placement.pop(segment_id, None)
-        if placed is None:
-            return
-        self.balancer.release(segment_id)
-        slot = self._slot.pop(segment_id)
-        if placed:
-            self._fast_used -= 1
-            self._free_fast_slots.append(slot)
-        else:
-            self._free_slow_slots.append(slot)
+        if segment_id in self._placement:
+            self.balancer.release(segment_id)
+        super().isa_free(segment_id)
 
     # -- demand path with hint faults ------------------------------------
 

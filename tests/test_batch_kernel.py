@@ -338,6 +338,7 @@ class TestWarmupBoundary:
         "Chameleon": "chameleon.cache_misses",
         "Chameleon-Opt": "chameleon.cache_hits",
         "Alloy-Cache": "alloy.hits",
+        "KNL-hybrid-25": "knl.cache_misses",
     }
 
     @staticmethod

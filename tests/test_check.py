@@ -184,6 +184,20 @@ class TestRunCheck:
         assert verified.passed
         assert all(c.golden_status == GOLDEN_MATCH for c in verified.cells)
 
+    def test_every_committed_golden_matches(self):
+        """Every cell of the committed store re-simulates to its blessed
+        digests — the guard that any bit-exact refactor leans on."""
+        report = run_check(
+            sample=0, goldens_dir=COMMITTED_GOLDENS, deep=False, echo=quiet,
+        )
+        assert report.passed, [
+            f"{c.design}/{c.workload}: {c.golden_detail}"
+            for c in report.cells
+            if c.golden_status != GOLDEN_MATCH
+        ]
+        assert len(report.cells) == len(conformance_grid(SMOKE_SCALE)) == 45
+        assert all(c.golden_status == GOLDEN_MATCH for c in report.cells)
+
     def test_tampered_golden_is_a_mismatch(self, runtime_dirs):
         run_check(
             TINY, bless=True, note="initial", deep=False,

@@ -1,68 +1,20 @@
-"""Tests for NUMA policies, AutoNUMA balancing and the long-run model."""
+"""Tests for AutoNUMA balancing and the long-run model."""
 
 import pytest
 
-from repro.config import GB, MB
+from repro.config import GB
 from repro.osmodel import (
     AutoNumaBalancer,
     AutoNumaConfig,
-    FirstTouchAllocator,
     LongRunSimulator,
-    OutOfMemoryError,
     WorkloadSpec,
 )
 from repro.osmodel.autonuma import FAST_NODE, SLOW_NODE
-from repro.osmodel.numa import make_hetero_nodes
 from repro.osmodel.longrun import (
     FAULT_SECONDS,
     capacity_sweep,
     improvement_percent,
 )
-
-
-class TestNumaNodes:
-    def test_layout(self):
-        fast, slow = make_hetero_nodes(4 * MB, 20 * MB)
-        assert fast.base == 0
-        assert slow.base == 4 * MB
-        assert fast.contains(0) and not fast.contains(4 * MB)
-        assert slow.contains(4 * MB)
-
-    def test_first_touch_prefers_fast(self):
-        fast, slow = make_hetero_nodes(64 * 1024, 256 * 1024)
-        allocator = FirstTouchAllocator([fast, slow])
-        address = allocator.allocate(4096)
-        assert fast.contains(address)
-
-    def test_first_touch_spills_to_slow(self):
-        fast, slow = make_hetero_nodes(64 * 1024, 256 * 1024)
-        allocator = FirstTouchAllocator([fast, slow])
-        addresses = [allocator.allocate(4096) for _ in range(20)]
-        assert any(slow.contains(a) for a in addresses)
-        assert sum(1 for a in addresses if fast.contains(a)) == 16
-
-    def test_free_returns_to_owning_node(self):
-        fast, slow = make_hetero_nodes(64 * 1024, 256 * 1024)
-        allocator = FirstTouchAllocator([fast, slow])
-        address = allocator.allocate(4096)
-        before = allocator.free_bytes()
-        allocator.free(address)
-        assert allocator.free_bytes() == before + 4096
-
-    def test_exhaustion(self):
-        fast, slow = make_hetero_nodes(64 * 1024, 64 * 1024)
-        allocator = FirstTouchAllocator([fast, slow])
-        for _ in range(32):
-            allocator.allocate(4096)
-        with pytest.raises(OutOfMemoryError):
-            allocator.allocate(4096)
-
-    def test_node_of(self):
-        fast, slow = make_hetero_nodes(64 * 1024, 64 * 1024)
-        allocator = FirstTouchAllocator([fast, slow])
-        assert allocator.node_of(0).node_id == 0
-        with pytest.raises(ValueError):
-            allocator.node_of(10 * MB)
 
 
 class TestAutoNumaBalancer:
@@ -71,12 +23,6 @@ class TestAutoNumaBalancer:
             fast_capacity_pages=capacity,
             config=AutoNumaConfig(threshold=threshold),
         )
-
-    def test_place_first_touch_fills_fast_first(self):
-        balancer = self.make(capacity=2)
-        assert balancer.place_first_touch(0) == FAST_NODE
-        assert balancer.place_first_touch(1) == FAST_NODE
-        assert balancer.place_first_touch(2) == SLOW_NODE
 
     def test_record_access_classifies(self):
         balancer = self.make(capacity=1)

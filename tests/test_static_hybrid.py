@@ -24,6 +24,13 @@ class TestPartitioning:
         assert arch.flat_fast_bytes == 0
         assert arch.os_visible_bytes == config.slow_mem.capacity_bytes
 
+    def test_full_cache_leaves_sub_line_remainder_unused(self):
+        odd = scaled_config(fast_mb=0.3)  # 314572 B: 12 B past a line
+        assert odd.fast_mem.capacity_bytes % 64
+        arch = StaticHybridMemory(odd, cache_fraction=1.0)
+        assert arch.flat_fast_bytes == 0
+        assert arch.os_visible_bytes == odd.slow_mem.capacity_bytes
+
     def test_half_split(self, config):
         arch = StaticHybridMemory(config, cache_fraction=0.5)
         fast = config.fast_mem.capacity_bytes
