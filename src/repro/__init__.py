@@ -38,7 +38,6 @@ from repro.config import (
     SystemConfig,
     offchip_dram,
     paper_config,
-    ratio_config,
     scaled_config,
     stacked_dram,
 )
@@ -73,7 +72,7 @@ from repro.workloads import (
     benchmark_names,
     build_workload,
 )
-from repro.stats import geomean, normalize_to
+from repro.stats import geomean
 from repro.cachesim import CacheHierarchy, CoherentHierarchy
 from repro.dram import system_energy
 from repro.trace.stats import characterize
@@ -92,7 +91,6 @@ __all__ = [
     "SystemConfig",
     "offchip_dram",
     "paper_config",
-    "ratio_config",
     "scaled_config",
     "stacked_dram",
     "AlloyCache",
@@ -119,7 +117,6 @@ __all__ = [
     "benchmark_names",
     "build_workload",
     "geomean",
-    "normalize_to",
     "CacheHierarchy",
     "CoherentHierarchy",
     "system_energy",

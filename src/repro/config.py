@@ -26,9 +26,8 @@ DEFAULT_SEGMENT_BYTES = 2 * KB
 #: CAMEO-style fine-grain segments.
 CACHELINE_BYTES = 64
 
-#: Base OS page size (4KB) and transparent huge page size (2MB).
+#: Base OS page size (4KB).
 PAGE_BYTES = 4 * KB
-THP_BYTES = 2 * MB
 
 #: Page-fault service latency in CPU cycles (Table I, SSD-backed).
 PAGE_FAULT_LATENCY_CYCLES = 100_000
@@ -144,9 +143,6 @@ class DramConfig:
         """DDR peak bandwidth: 2 transfers per bus clock per channel."""
         per_channel = self.bus_frequency_hz * 2 * (self.bus_width_bits / 8)
         return per_channel * self.channels
-
-    def device_cycles_to_ns(self, cycles: float) -> float:
-        return cycles / self.bus_frequency_hz * 1e9
 
     def burst_time_ns(self, burst_bytes: int) -> float:
         """Data-bus occupancy to transfer ``burst_bytes`` on one channel."""
@@ -265,19 +261,6 @@ def paper_config(
         slow_mem=offchip_dram(int(slow_gb * GB)),
         segment_bytes=segment_bytes,
     )
-
-
-def ratio_config(ratio: int, total_gb: float = 24.0) -> SystemConfig:
-    """Sensitivity configurations for Figures 21/23.
-
-    ``ratio`` is the slow:fast capacity ratio.  The paper uses a constant
-    24GB total: 1:3 -> 6GB+18GB, 1:5 -> 4GB+20GB, 1:7 -> 3GB+21GB.
-    """
-    if ratio < 1:
-        raise ValueError("ratio must be >= 1")
-    fast_gb = total_gb / (ratio + 1)
-    slow_gb = total_gb - fast_gb
-    return paper_config(fast_gb=fast_gb, slow_gb=slow_gb)
 
 
 #: Scaled-down configuration used throughout tests and benchmarks so that

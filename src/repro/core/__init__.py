@@ -3,8 +3,11 @@
 Both designs extend the hardware-managed PoM baseline
 (:class:`repro.arch.pom.PoMArchitecture`) with the augmented SRRT of
 Figure 7 — per-group Alloc Bit Vector, mode bit and dirty bit — driven
-by the ISA-Alloc / ISA-Free instructions the OS issues from its
-allocator (Algorithms 1-2):
+by the ISA-Alloc / ISA-Free instructions the OS issues for each segment
+a page covers (Algorithms 1-2).  Every experiment allocates its
+footprint up front, so the stream is one ISA-Alloc per allocated
+segment, issued by
+:meth:`repro.workloads.multiprog.MultiprogramWorkload.apply_allocations`:
 
 * :class:`repro.core.chameleon.ChameleonArchitecture` — the basic
   co-design: a segment group whose *stacked* segment is OS-free flips

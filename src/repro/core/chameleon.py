@@ -356,7 +356,3 @@ class ChameleonArchitecture(PoMArchitecture):
         )
         total = len(self._groups)
         return cache / total, (total - cache) / total
-
-    @property
-    def touched_groups(self) -> int:
-        return len(self._groups)

@@ -84,17 +84,6 @@ class MulticoreModel:
             page_faults=faults,
         )
 
-    def normalized_ipc(
-        self,
-        runs: Dict[str, WorkloadPerformance],
-        baseline: str,
-    ) -> Dict[str, float]:
-        """Geomean IPC of every run normalised to ``baseline``."""
-        if baseline not in runs:
-            raise KeyError(f"baseline {baseline!r} not among runs")
-        base = runs[baseline].geomean_ipc
-        return {name: perf.geomean_ipc / base for name, perf in runs.items()}
-
     def average_latency_cycles(self, perf: WorkloadPerformance) -> float:
         """Average memory access latency in CPU cycles (Figure 19)."""
         return self.config.core.ns_to_cycles(perf.average_latency_ns)

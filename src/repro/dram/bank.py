@@ -44,13 +44,6 @@ class Bank:
     def _cycles_to_ns(self, cycles: int) -> float:
         return cycles / self.clock_hz * 1e9
 
-    def classify(self, row: int) -> RowBufferResult:
-        if self.open_row is None:
-            return RowBufferResult.MISS
-        if self.open_row == row:
-            return RowBufferResult.HIT
-        return RowBufferResult.CONFLICT
-
     def access(self, row: int, now_ns: float) -> tuple[float, RowBufferResult]:
         """Issue an access to ``row`` at ``now_ns``.
 

@@ -166,10 +166,3 @@ class HeterogeneousMemory:
     @property
     def fills(self) -> float:
         return self.counters["swap.fills"]
-
-    def bandwidth_ratio(self) -> float:
-        """Peak fast:slow bandwidth ratio (≈4 for Table I)."""
-        return (
-            self.config.fast_mem.peak_bandwidth_bytes_per_sec
-            / self.config.slow_mem.peak_bandwidth_bytes_per_sec
-        )

@@ -290,19 +290,3 @@ class DramDevice:
             return 0.0
         busy = self.counters[f"{self._scope}.busy_ns"]
         return min(1.0, busy / (elapsed_ns * self.config.channels))
-
-    def row_hit_rate(self) -> float:
-        hits = self.counters[f"{self._scope}.row_hit"]
-        total = (
-            hits
-            + self.counters[f"{self._scope}.row_miss"]
-            + self.counters[f"{self._scope}.row_conflict"]
-        )
-        return hits / total if total else 0.0
-
-    def reset_timing(self) -> None:
-        """Clear bank/bus state (counters are preserved)."""
-        for bank in self._banks:
-            bank.open_row = None
-            bank.ready_ns = 0.0
-        self._channel_free_ns = [0.0] * self.config.channels

@@ -72,16 +72,3 @@ def format_series(
         for i in indices
     ]
     return format_table(headers, rows, title=title)
-
-
-def format_comparison(
-    label: str,
-    measured: float,
-    paper: float,
-    unit: str = "%",
-) -> str:
-    """One paper-vs-measured line for EXPERIMENTS.md style reporting."""
-    return (
-        f"{label}: measured {measured:+.1f}{unit} "
-        f"(paper {paper:+.1f}{unit})"
-    )

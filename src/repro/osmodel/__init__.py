@@ -1,17 +1,16 @@
 """Operating-system model.
 
-The paper's co-design hinges on the OS side: the Linux buddy allocator's
-``alloc_pages`` / ``free_one_page`` routines are instrumented to issue
-ISA-Alloc / ISA-Free for every hardware segment covered by the page
-(Algorithms 1 and 2).  This package reproduces that substrate:
+The paper's OS side is Algorithms 1-2: the page allocator issues one
+ISA-Alloc / ISA-Free for each hardware segment a page covers.  Every
+figure here allocates the footprint before the measured window
+(Section VI-B), so that stream is one ISA-Alloc per allocated segment,
+issued up front by
+:meth:`repro.workloads.multiprog.MultiprogramWorkload.apply_allocations`.
+This package holds the rest of the OS side:
 
-* :mod:`repro.osmodel.buddy` — a buddy physical-page allocator with
-  per-order free lists and coalescing;
-* :mod:`repro.osmodel.hooks` — the Algorithm 1/2 instrumentation layer
-  that fans page allocations out into per-segment ISA calls;
-* :mod:`repro.osmodel.vm` — per-process address spaces, first-touch
-  mapping, 4KB pages and 2MB transparent huge pages, and the SSD-backed
-  page-fault engine;
+* :mod:`repro.osmodel.vm` — the SSD-backed page-fault engine (exact-LRU
+  resident set, minor vs major faults) for designs whose OS-visible
+  capacity is smaller than the footprint;
 * :mod:`repro.osmodel.autonuma` — Linux AutoNUMA balancing with scan
   epochs, migration thresholds and the -ENOMEM capacity failure
   (Section II-B2 / III-A2); the first-touch placement it starts from is
@@ -20,28 +19,14 @@ ISA-Alloc / ISA-Free for every hardware segment covered by the page
   behind Figures 3, 4 and 5.
 """
 
-from repro.osmodel.buddy import BuddyAllocator, OutOfMemoryError
-from repro.osmodel.hooks import IsaNotifier, NullNotifier, PageHookDispatcher
-from repro.osmodel.vm import AddressSpace, PageFaultEngine, VirtualMemory
+from repro.osmodel.vm import PageFaultEngine
 from repro.osmodel.autonuma import AutoNumaBalancer, AutoNumaConfig
-from repro.osmodel.longrun import (
-    LongRunSimulator,
-    WorkloadPhase,
-    WorkloadSpec,
-)
+from repro.osmodel.longrun import LongRunSimulator, WorkloadSpec
 
 __all__ = [
-    "BuddyAllocator",
-    "OutOfMemoryError",
-    "IsaNotifier",
-    "NullNotifier",
-    "PageHookDispatcher",
-    "AddressSpace",
     "PageFaultEngine",
-    "VirtualMemory",
     "AutoNumaBalancer",
     "AutoNumaConfig",
     "LongRunSimulator",
-    "WorkloadPhase",
     "WorkloadSpec",
 ]

@@ -75,11 +75,6 @@ class EpochReport:
     enomem_failures: int
     hit_rate: float
 
-    @property
-    def remote_ratio(self) -> float:
-        total = self.local_faults + self.remote_faults
-        return self.remote_faults / total if total else 0.0
-
 
 class AutoNumaBalancer:
     """Epoch-driven page placement balancer over fast/slow nodes."""

@@ -17,7 +17,6 @@ analytically:
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -26,14 +25,6 @@ from repro.stats import Timeline
 
 #: SSD page-fault service time (Table I: 100K cycles ~ 36 microseconds).
 FAULT_SECONDS = 36e-6
-
-
-class WorkloadPhase(enum.Enum):
-    """Lifecycle of one scheduled workload."""
-
-    ALLOCATING = "allocating"
-    RUNNING = "running"
-    FREEING = "freeing"
 
 
 @dataclass(frozen=True)

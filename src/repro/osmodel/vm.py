@@ -1,183 +1,23 @@
-"""Virtual memory: address spaces, first-touch mapping, page faults.
+"""OS paging: the DRAM<->SSD page-fault engine.
 
-Two concerns live here:
-
-* :class:`AddressSpace` / :class:`VirtualMemory` — per-process virtual to
-  physical mapping, allocated on first touch from a physical allocator,
-  with 4KB base pages and optional 2MB transparent huge pages, wired to
-  the ISA hook dispatcher (Algorithms 1-2);
-* :class:`PageFaultEngine` — the DRAM<->SSD paging path for workloads
-  whose footprint exceeds the OS-visible capacity, with an exact-LRU
-  resident set and the Table I fault cost (100K cycles).
+:class:`PageFaultEngine` is the pager the simulation engine attaches to
+designs whose OS-visible capacity is smaller than the workload's address
+space.  It maps pages into the visible range with an exact-LRU resident
+set and charges the Table I fault cost (100K cycles, an SSD swap-in)
+when the footprint overflows that capacity.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from repro.config import PAGE_BYTES, PAGE_FAULT_LATENCY_CYCLES, THP_BYTES
-from repro.osmodel.buddy import OutOfMemoryError
-from repro.osmodel.hooks import PageHookDispatcher
+from repro.config import PAGE_BYTES, PAGE_FAULT_LATENCY_CYCLES
 from repro.stats import CounterSet
 from repro.telemetry.bus import NULL_BUS, EventBus, NullBus
 from repro.telemetry.events import PageFaultEvent
-
-
-@dataclass
-class Mapping:
-    """One virtual->physical mapping."""
-
-    virtual: int
-    physical: int
-    size: int
-
-
-class AddressSpace:
-    """One process's page table."""
-
-    def __init__(self, pid: int, page_bytes: int = PAGE_BYTES) -> None:
-        self.pid = pid
-        self.page_bytes = page_bytes
-        self._mappings: Dict[int, Mapping] = {}  # vpage -> Mapping
-        # One-entry translation cache: consecutive accesses to the same
-        # virtual page (the common case in the scalar replay loop) skip
-        # the mapping lookup.  Only positive lookups are cached, so new
-        # mappings become visible without invalidation; unmap drops it.
-        self._cached_vpage = -1
-        self._cached_mapping: Optional[Mapping] = None
-
-    def translate(self, vaddr: int) -> Optional[int]:
-        """Physical address for ``vaddr``, or None when unmapped."""
-        vpage = vaddr // self.page_bytes
-        if vpage == self._cached_vpage:
-            mapping = self._cached_mapping
-            assert mapping is not None
-        else:
-            mapping = self._mappings.get(vpage)
-            if mapping is None:
-                return None
-            self._cached_vpage = vpage
-            self._cached_mapping = mapping
-        return mapping.physical + (vaddr - mapping.virtual)
-
-    def map(self, vaddr: int, paddr: int, size: int) -> None:
-        if size % self.page_bytes:
-            raise ValueError("mapping size must be page aligned")
-        first = vaddr // self.page_bytes
-        for index in range(size // self.page_bytes):
-            vpage = first + index
-            if vpage in self._mappings:
-                raise ValueError(f"vpage {vpage:#x} already mapped")
-            self._mappings[vpage] = Mapping(
-                virtual=first * self.page_bytes,
-                physical=paddr,
-                size=size,
-            )
-
-    def unmap(self, vaddr: int) -> Mapping:
-        vpage = vaddr // self.page_bytes
-        mapping = self._mappings.get(vpage)
-        if mapping is None:
-            raise KeyError(f"vaddr {vaddr:#x} not mapped")
-        first = mapping.virtual // self.page_bytes
-        for index in range(mapping.size // self.page_bytes):
-            del self._mappings[first + index]
-        self._cached_vpage = -1
-        self._cached_mapping = None
-        return mapping
-
-    def mapped_bytes(self) -> int:
-        return len(self._mappings) * self.page_bytes
-
-    def mappings(self):
-        """Distinct mappings (one per allocation, not per page)."""
-        seen: Dict[int, Mapping] = {}
-        for mapping in self._mappings.values():
-            seen[mapping.virtual] = mapping
-        return list(seen.values())
-
-
-class VirtualMemory:
-    """First-touch virtual memory over a physical allocator.
-
-    ``allocate_backing`` is a callable so NUMA policies (first-touch on
-    the fast node, AutoNUMA, Chameleon's plain buddy) can plug in their
-    placement decision; it receives the allocation size and returns a
-    physical address.
-    """
-
-    def __init__(
-        self,
-        allocate_backing: Callable[[int], int],
-        free_backing: Callable[[int], None],
-        dispatcher: PageHookDispatcher | None = None,
-        counters: CounterSet | None = None,
-        thp_enabled: bool = True,
-    ) -> None:
-        self._allocate = allocate_backing
-        self._free = free_backing
-        self.dispatcher = dispatcher
-        self.counters = counters if counters is not None else CounterSet()
-        self.thp_enabled = thp_enabled
-        self._spaces: Dict[int, AddressSpace] = {}
-
-    def space(self, pid: int) -> AddressSpace:
-        if pid not in self._spaces:
-            self._spaces[pid] = AddressSpace(pid)
-        return self._spaces[pid]
-
-    def touch(self, pid: int, vaddr: int, prefer_thp: bool = False) -> int:
-        """Translate, faulting in a new page on first touch."""
-        space = self.space(pid)
-        paddr = space.translate(vaddr)
-        if paddr is not None:
-            return paddr
-        size = THP_BYTES if (prefer_thp and self.thp_enabled) else PAGE_BYTES
-        vbase = vaddr - vaddr % size
-        try:
-            physical = self._allocate(size)
-        except OutOfMemoryError:
-            if size == THP_BYTES:
-                # THP allocation falls back to base pages, as in Linux.
-                size = PAGE_BYTES
-                vbase = vaddr - vaddr % size
-                physical = self._allocate(size)
-            else:
-                raise
-        space.map(vbase, physical, size)
-        self.counters.add("vm.first_touches")
-        self.counters.add("vm.mapped_bytes", size)
-        if self.dispatcher is not None:
-            self.dispatcher.page_allocated(physical, size)
-        translated = space.translate(vaddr)
-        assert translated is not None
-        return translated
-
-    def release(self, pid: int, vaddr: int) -> None:
-        """Unmap and free the allocation containing ``vaddr``."""
-        space = self.space(pid)
-        mapping = space.unmap(vaddr)
-        if self.dispatcher is not None:
-            self.dispatcher.page_freed(mapping.physical, mapping.size)
-        self._free(mapping.physical)
-        self.counters.add("vm.releases")
-
-    def release_all(self, pid: int) -> int:
-        """Tear down a whole address space; returns bytes released."""
-        space = self.space(pid)
-        released = 0
-        for mapping in space.mappings():
-            space.unmap(mapping.virtual)
-            if self.dispatcher is not None:
-                self.dispatcher.page_freed(mapping.physical, mapping.size)
-            self._free(mapping.physical)
-            released += mapping.size
-        self.counters.add("vm.releases")
-        return released
 
 
 class PageFaultEngine:
@@ -240,19 +80,27 @@ class PageFaultEngine:
             page = address // self.page_bytes
             if page in self._resident:
                 self._resident.move_to_end(page)
-                continue
-            if len(self._resident) >= self.capacity_pages:
-                victim, freed = self._resident.popitem(last=False)
-                self._swapped_out.add(victim)
-                self._free_frames.append(freed)
-                self._frame_table[victim] = -1
-            if self._free_frames:
-                frame = self._free_frames.pop()
             else:
-                frame = self._next_frame
-                self._next_frame += 1
-            self._resident[page] = frame
-            self._table_set(page, frame)
+                self._fault_in(page)
+
+    def _fault_in(self, page: int) -> Tuple[int, bool]:
+        """Give non-resident ``page`` a frame, swapping out the LRU page
+        first when the resident set is full.  Returns ``(frame,
+        evicted)``; counting and events are the caller's business."""
+        evicted = len(self._resident) >= self.capacity_pages
+        if evicted:
+            victim, freed = self._resident.popitem(last=False)
+            self._swapped_out.add(victim)
+            self._free_frames.append(freed)
+            self._frame_table[victim] = -1
+        if self._free_frames:
+            frame = self._free_frames.pop()
+        else:
+            frame = self._next_frame
+            self._next_frame += 1
+        self._resident[page] = frame
+        self._table_set(page, frame)
+        return frame, evicted
 
     def access_translate(
         self, address: int, now_ns: float = 0.0
@@ -276,20 +124,10 @@ class PageFaultEngine:
         # touch with free capacity is a cheap minor fault — Linux wires
         # the page without touching the SSD.
         major = page in self._swapped_out
-        if len(self._resident) >= self.capacity_pages:
-            victim, freed = self._resident.popitem(last=False)
-            self._swapped_out.add(victim)
-            self._free_frames.append(freed)
+        frame, evicted = self._fault_in(page)
+        if evicted:
             self.counters.add("fault.evictions")
-            self._frame_table[victim] = -1
             major = True
-        if self._free_frames:
-            frame = self._free_frames.pop()
-        else:
-            frame = self._next_frame
-            self._next_frame += 1
-        self._resident[page] = frame
-        self._table_set(page, frame)
         bus = self.telemetry
         if bus.enabled:
             bus.emit(PageFaultEvent(time_ns=now_ns, page=page, major=major))
@@ -313,7 +151,7 @@ class PageFaultEngine:
         resident.  The translations hold until the next eviction.
         Pure lookup — no LRU recency update, no counters, no events; the
         caller replays those effects (see
-        :meth:`touch_resident` / :meth:`note_resident_hits`) to stay
+        :meth:`touch_resident_many` / :meth:`note_resident_hits`) to stay
         bit-identical with the scalar :meth:`access_translate` path.
         """
         pages = addresses // self.page_bytes
@@ -331,14 +169,9 @@ class PageFaultEngine:
         )
         return physical, pages, n_resident
 
-    def touch_resident(self, page: int) -> None:
-        """Replay one resident access's LRU recency update (the
-        ``move_to_end`` that :meth:`access_translate` would have done)."""
-        self._resident.move_to_end(page)
-
     def touch_resident_many(self, pages: Iterable[int]) -> None:
-        """Replay a run of deferred LRU touches in the given order
-        (bulk :meth:`touch_resident` without per-page call overhead)."""
+        """Replay a run of deferred LRU touches in the given order (the
+        ``move_to_end`` :meth:`access_translate` does on a resident hit)."""
         move = self._resident.move_to_end
         for page in pages:
             move(page)

@@ -48,7 +48,6 @@ from repro.runtime.executor import (
     SweepExecutor,
     SweepResults,
     get_default_executor,
-    set_default_executor,
 )
 from repro.runtime.faults import (
     FAULTS_ENV,
@@ -108,7 +107,6 @@ __all__ = [
     "default_cache_dir",
     "get_default_executor",
     "print_progress",
-    "set_default_executor",
     "simulate_cell",
     "timed_cell",
 ]

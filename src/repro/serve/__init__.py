@@ -38,7 +38,6 @@ from repro.serve.protocol import (
     WIRE_VERSION,
     canonical_payload,
     request_digest,
-    request_from_dict,
 )
 from repro.serve.scheduler import (
     DEFAULT_MAX_QUEUE,
@@ -77,5 +76,4 @@ __all__ = [
     "WIRE_VERSION",
     "canonical_payload",
     "request_digest",
-    "request_from_dict",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional
 
 import asyncio
 
@@ -140,25 +140,6 @@ def render_response(
     return head + body
 
 
-def json_body(payload: Mapping[str, Any]) -> bytes:
-    """Canonical JSON body (sorted keys, trailing newline) — the same
-    convention as :func:`repro.serve.protocol.canonical_payload`."""
-    return (json.dumps(dict(payload), sort_keys=True) + "\n").encode()
-
-
-def parse_response(raw: bytes) -> Tuple[int, Dict[str, str], bytes]:
-    """Client-side inverse of :func:`render_response` (tests use it on
-    raw sockets; the real client rides :mod:`http.client`)."""
-    head, _, body = raw.partition(b"\r\n\r\n")
-    lines = head.decode("latin-1").split("\r\n")
-    status = int(lines[0].split()[1])
-    headers: Dict[str, str] = {}
-    for line in lines[1:]:
-        name, _, value = line.partition(":")
-        headers[name.strip().lower()] = value.strip()
-    return status, headers, body
-
-
 __all__ = [
     "HttpError",
     "MAX_BODY_BYTES",
@@ -166,8 +147,6 @@ __all__ = [
     "MAX_REQUEST_LINE",
     "REASONS",
     "Request",
-    "json_body",
-    "parse_response",
     "read_request",
     "render_response",
 ]

@@ -288,16 +288,6 @@ class SweepRequest:
 ServeRequest = Union[SimRequest, SweepRequest]
 
 
-def request_from_dict(data: Mapping[str, Any]) -> ServeRequest:
-    """Parse either request kind (checkpoint loading, generic tools)."""
-    kind = data.get("kind")
-    if kind == KIND_SIMULATE:
-        return SimRequest.from_dict(data)
-    if kind == KIND_SWEEP:
-        return SweepRequest.from_dict(data)
-    raise BadRequest(f"unknown request kind {kind!r}")
-
-
 def request_digest(identity: Mapping[str, Any]) -> str:
     """Job id: SHA-256 over the canonical JSON identity, truncated to
     16 hex chars (64 bits — plenty for an in-memory job table)."""
@@ -323,5 +313,4 @@ __all__ = [
     "WIRE_VERSION",
     "canonical_payload",
     "request_digest",
-    "request_from_dict",
 ]

@@ -41,7 +41,6 @@ from repro.serve.dispatcher import DEFAULT_MAX_BATCH, Dispatcher
 from repro.serve.http import (
     HttpError,
     Request,
-    json_body,
     read_request,
     render_response,
 )
@@ -220,7 +219,7 @@ class SimServer:
                 await self._write(
                     writer,
                     render_response(
-                        exc.status, json_body({"error": str(exc)})
+                        exc.status, canonical_payload({"error": str(exc)})
                     ),
                 )
                 return
@@ -259,7 +258,7 @@ class SimServer:
         if path == "/v1/sweep":
             return await self._post(request, self._sweep)
         return render_response(
-            404, json_body({"error": f"no such endpoint {path!r}"})
+            404, canonical_payload({"error": f"no such endpoint {path!r}"})
         )
 
     @staticmethod
@@ -267,7 +266,9 @@ class SimServer:
         if request.method != "GET":
             return render_response(
                 405,
-                json_body({"error": f"{request.method} not allowed here"}),
+                canonical_payload(
+                    {"error": f"{request.method} not allowed here"}
+                ),
                 extra_headers={"Allow": "GET"},
             )
         return None
@@ -276,13 +277,15 @@ class SimServer:
         if request.method != "POST":
             return render_response(
                 405,
-                json_body({"error": f"{request.method} not allowed here"}),
+                canonical_payload(
+                    {"error": f"{request.method} not allowed here"}
+                ),
                 extra_headers={"Allow": "POST"},
             )
         if self.draining:
             return render_response(
                 503,
-                json_body(
+                canonical_payload(
                     {"error": "server is draining", "status": "draining"}
                 ),
                 extra_headers={"Retry-After": "5"},
@@ -293,14 +296,14 @@ class SimServer:
             return await handler(payload, wait)
         except HttpError as exc:
             return render_response(
-                exc.status, json_body({"error": str(exc)})
+                exc.status, canonical_payload({"error": str(exc)})
             )
         except BadRequest as exc:
-            return render_response(400, json_body({"error": str(exc)}))
+            return render_response(400, canonical_payload({"error": str(exc)}))
         except QueueFull as exc:
             return render_response(
                 429,
-                json_body(
+                canonical_payload(
                     {
                         "error": str(exc),
                         "status": "rejected",
@@ -321,7 +324,7 @@ class SimServer:
         if not wait and job.payload is None:
             return render_response(
                 202,
-                json_body(
+                canonical_payload(
                     {"job": job.id, "status": job.status, "wire": WIRE_VERSION}
                 ),
             )
@@ -339,7 +342,7 @@ class SimServer:
         if not wait:
             return render_response(
                 202,
-                json_body(
+                canonical_payload(
                     {
                         "job": sweep.digest,
                         "status": "queued",
@@ -382,7 +385,7 @@ class SimServer:
         job = self.scheduler.job(job_id)
         if job is None:
             return render_response(
-                404, json_body({"error": f"unknown job {job_id!r}"})
+                404, canonical_payload({"error": f"unknown job {job_id!r}"})
             )
         if job.payload is not None:
             return render_response(
@@ -392,7 +395,7 @@ class SimServer:
             )
         return render_response(
             200,
-            json_body(
+            canonical_payload(
                 {
                     "job": job.id,
                     "status": job.status,
@@ -404,7 +407,7 @@ class SimServer:
     def _healthz(self) -> bytes:
         return render_response(
             200,
-            json_body(
+            canonical_payload(
                 {
                     "status": "draining" if self.draining else "ok",
                     "version": __version__,
@@ -417,7 +420,7 @@ class SimServer:
     def _metrics(self) -> bytes:
         return render_response(
             200,
-            json_body(
+            canonical_payload(
                 self.metrics.snapshot(
                     queue_depth=self.scheduler.queue_depth,
                     in_flight=self.scheduler.in_flight,

@@ -7,21 +7,17 @@ The simulator reports everything through small, composable primitives:
 * :class:`Histogram` — fixed-bucket latency/size histograms;
 * :class:`Timeline` — per-epoch series used for the timeline figures
   (Figure 2c, Figure 3);
-* summary helpers (:func:`geomean`, :func:`normalize_to`) used to produce
-  the paper's normalised-IPC style results.
+* :func:`geomean` — the per-workload IPC summary the paper reports.
 """
 
 from repro.stats.counters import CounterSet
 from repro.stats.histogram import Histogram
 from repro.stats.timeline import Timeline
-from repro.stats.summary import geomean, harmonic_mean, normalize_to, percent_delta
+from repro.stats.summary import geomean
 
 __all__ = [
     "CounterSet",
     "Histogram",
     "Timeline",
     "geomean",
-    "harmonic_mean",
-    "normalize_to",
-    "percent_delta",
 ]

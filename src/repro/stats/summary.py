@@ -1,15 +1,13 @@
-"""Aggregation helpers matching the paper's reporting conventions.
+"""Aggregation helper matching the paper's reporting convention.
 
 The paper reports per-workload performance as the geometric mean of
-per-application IPCs (Section VI-A) and normalises to a baseline system
-(Figures 18, 20, 22, 23).  Equation 1 uses percentage improvement of
-geometric-mean execution time.
+per-application IPCs (Section VI-A).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 
 def geomean(values: Iterable[float]) -> float:
@@ -24,45 +22,3 @@ def geomean(values: Iterable[float]) -> float:
     if not count:
         raise ValueError("geomean of an empty sequence")
     return math.exp(total / count)
-
-
-def harmonic_mean(values: Iterable[float]) -> float:
-    """Harmonic mean; every value must be positive."""
-    total = 0.0
-    count = 0
-    for value in values:
-        if value <= 0:
-            raise ValueError(f"harmonic mean requires positive values, got {value}")
-        total += 1.0 / value
-        count += 1
-    if not count:
-        raise ValueError("harmonic mean of an empty sequence")
-    return count / total
-
-
-def normalize_to(values: Mapping[str, float], baseline: str) -> dict[str, float]:
-    """Normalise every value to ``values[baseline]`` (baseline becomes 1.0)."""
-    if baseline not in values:
-        raise KeyError(f"baseline {baseline!r} missing from values")
-    base = values[baseline]
-    if base <= 0:
-        raise ValueError("baseline value must be positive")
-    return {name: value / base for name, value in values.items()}
-
-
-def percent_delta(new: float, old: float) -> float:
-    """Percentage improvement of ``new`` over ``old`` (Equation 1 form)."""
-    if old == 0:
-        raise ValueError("old value must be non-zero")
-    return (new - old) / old * 100.0
-
-
-def weighted_speedup(
-    ipcs: Sequence[float], alone_ipcs: Sequence[float]
-) -> float:
-    """Sum of per-application IPC ratios vs. running alone."""
-    if len(ipcs) != len(alone_ipcs):
-        raise ValueError("IPC vectors must have equal length")
-    if not ipcs:
-        raise ValueError("weighted speedup of an empty workload")
-    return sum(ipc / alone for ipc, alone in zip(ipcs, alone_ipcs))

@@ -74,9 +74,8 @@ class ModeTransition(TelemetryEvent):
 class IsaAllocEvent(TelemetryEvent):
     """One ISA-Alloc (``alloc=True``) or ISA-Free (``alloc=False``).
 
-    Architecture-level emitters fill ``group``/``local``; the
-    page-hook dispatcher (which has no group geometry) leaves them
-    ``None``.
+    The Chameleon designs fill ``group``/``local`` from their group
+    geometry.
     """
 
     kind: ClassVar[str] = "isa_alloc"

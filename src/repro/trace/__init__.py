@@ -16,7 +16,6 @@ from repro.trace.streams import (
     interleave,
     replay_batches,
     take,
-    truncate_instructions,
 )
 
 __all__ = [
@@ -29,5 +28,4 @@ __all__ = [
     "interleave",
     "replay_batches",
     "take",
-    "truncate_instructions",
 ]

@@ -47,22 +47,6 @@ def take(records: Iterable[AccessRecord], limit: int) -> Iterator[AccessRecord]:
         yield record
 
 
-def truncate_instructions(
-    records: Iterable[AccessRecord], max_instructions: int
-) -> Iterator[AccessRecord]:
-    """Stop the stream once ``max_instructions`` have been committed.
-
-    Mirrors the paper's methodology of simulating a fixed 500M
-    instructions per application.
-    """
-    committed = 0
-    for record in records:
-        committed += record.icount_gap
-        if committed > max_instructions:
-            return
-        yield record
-
-
 def interleave(
     streams: Sequence[Iterable[AccessRecord]],
 ) -> Iterator[Tuple[int, AccessRecord]]:

@@ -23,7 +23,6 @@ from repro.workloads.suites import (
     TABLE2_BENCHMARKS,
     benchmark,
     benchmark_names,
-    high_footprint_benchmarks,
 )
 from repro.workloads.synthetic import SyntheticAccessGenerator, zipf_weights
 from repro.workloads.placement import (
@@ -38,7 +37,6 @@ __all__ = [
     "TABLE2_BENCHMARKS",
     "benchmark",
     "benchmark_names",
-    "high_footprint_benchmarks",
     "SyntheticAccessGenerator",
     "zipf_weights",
     "contiguous_placement",

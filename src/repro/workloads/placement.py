@@ -5,7 +5,8 @@ groups have free segments — the quantity Chameleon harvests.  Two
 models are provided:
 
 * :func:`contiguous_placement` — pages packed from address zero, the
-  behaviour of a freshly booted machine with an empty buddy allocator;
+  behaviour of a freshly booted machine whose free memory is still one
+  contiguous range;
 * :func:`scattered_placement` — pages spread uniformly at random over
   the physical space, the steady state of a long-running machine whose
   free lists have been churned by allocation/free cycles (the regime

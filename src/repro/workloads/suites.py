@@ -120,18 +120,3 @@ def benchmark(name: str) -> BenchmarkSpec:
 
 def benchmark_names() -> List[str]:
     return [spec.name for spec in TABLE2_BENCHMARKS]
-
-
-def high_footprint_benchmarks(threshold_gb: float = 20.0) -> List[BenchmarkSpec]:
-    """Benchmarks whose rate-mode footprint exceeds ``threshold_gb`` —
-    the ones that page-fault on capacity-limited systems."""
-    return [
-        spec for spec in TABLE2_BENCHMARKS if spec.footprint_gb > threshold_gb
-    ]
-
-
-def memory_intensive_benchmarks(mpki_threshold: float = 5.0) -> List[BenchmarkSpec]:
-    """Benchmarks the paper calls memory intensive (Section VI-C)."""
-    return [
-        spec for spec in TABLE2_BENCHMARKS if spec.llc_mpki >= mpki_threshold
-    ]

@@ -208,17 +208,3 @@ class SyntheticAccessGenerator:
         """Yield ``num_accesses`` LLC-miss records (scalar adapter)."""
         for batch in self.stream_batches(num_accesses):
             yield from batch.records()
-
-    # ------------------------------------------------------------------
-
-    def working_set_segments(self) -> List[int]:
-        """Segment ids of the current working set (hot first)."""
-        return [
-            int(self._segments[self._ranking[rank]])
-            for rank in self._working_set
-        ]
-
-    def hot_segments(self, top: int) -> List[int]:
-        """The ``top`` globally most popular segments."""
-        top = min(top, len(self._segments))
-        return [int(self._segments[self._ranking[r]]) for r in range(top)]

@@ -13,7 +13,6 @@ from repro.config import (
     SystemConfig,
     offchip_dram,
     paper_config,
-    ratio_config,
     scaled_config,
     stacked_dram,
 )
@@ -107,30 +106,6 @@ class TestSystemConfig:
         config = scaled_config().with_segment_bytes(64)
         assert config.segment_bytes == 64
         assert config.num_fast_segments == 4 * MB // 64
-
-
-class TestRatioConfig:
-    @pytest.mark.parametrize("ratio", [3, 5, 7])
-    def test_ratio_preserved(self, ratio):
-        assert ratio_config(ratio).capacity_ratio == ratio
-
-    @pytest.mark.parametrize("ratio", [3, 5, 7])
-    def test_total_is_constant(self, ratio):
-        config = ratio_config(ratio)
-        assert config.total_capacity_bytes == pytest.approx(24 * GB, rel=1e-6)
-
-    def test_one_to_three_split(self):
-        config = ratio_config(3)
-        assert config.fast_mem.capacity_bytes == 6 * GB
-        assert config.slow_mem.capacity_bytes == 18 * GB
-
-    def test_one_to_seven_split(self):
-        config = ratio_config(7)
-        assert config.fast_mem.capacity_bytes == 3 * GB
-
-    def test_invalid_ratio(self):
-        with pytest.raises(ValueError):
-            ratio_config(0)
 
 
 class TestCoreConfig:

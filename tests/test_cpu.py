@@ -97,19 +97,6 @@ class TestMulticoreModel:
         perf = self.model.summarize("wl", per_core)
         assert perf.average_latency_ns == pytest.approx(50.0)
 
-    def test_normalized_ipc(self):
-        runs = {
-            "base": self.model.summarize("base", [stats(latency_ns=1e5)]),
-            "fast": self.model.summarize("fast", [stats(latency_ns=1e3)]),
-        }
-        normalised = self.model.normalized_ipc(runs, "base")
-        assert normalised["base"] == pytest.approx(1.0)
-        assert normalised["fast"] > 1.0
-
-    def test_normalized_missing_baseline(self):
-        with pytest.raises(KeyError):
-            self.model.normalized_ipc({}, "base")
-
     def test_latency_cycles_conversion(self):
         perf = self.model.summarize("wl", [stats(accesses=1, latency_ns=100)])
         cycles = self.model.average_latency_cycles(perf)

@@ -5,7 +5,6 @@ import pytest
 from repro.config import scaled_config
 from repro.cpu import CoreRunStats, MulticoreModel
 from repro.experiments.figures import FigureResult, _mean
-from repro.experiments.reporting import format_comparison
 from repro.sim.engine import SimulationResult
 from repro.stats import CounterSet
 
@@ -22,10 +21,6 @@ class TestFigureResult:
     def test_mean_helper(self):
         assert _mean([1.0, 3.0]) == 2.0
         assert _mean([]) == 0.0
-
-    def test_format_comparison(self):
-        line = format_comparison("opt vs pom", 7.7, 11.6)
-        assert "+7.7%" in line and "+11.6%" in line
 
 
 class TestSimulationResult:

@@ -55,7 +55,7 @@ class TestPublicApi:
             "repro.config",
             "repro.dram.device",
             "repro.cachesim.coherence",
-            "repro.osmodel.buddy",
+            "repro.osmodel.vm",
             "repro.arch.pom",
             "repro.core.chameleon",
             "repro.core.chameleon_opt",

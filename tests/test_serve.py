@@ -26,7 +26,6 @@ from repro.serve import (
     SimRequest,
     SweepRequest,
     canonical_payload,
-    request_from_dict,
 )
 from repro.serve.metrics import METRICS_SCHEMA_VERSION, ServerMetrics, percentile
 from repro.serve.scheduler import CHECKPOINTED, DONE, Job
@@ -58,14 +57,6 @@ class TestProtocol:
             designs=("Chameleon", "PoM"), workloads=("mcf", "bwaves"), **TINY
         )
         assert SweepRequest.from_dict(req.to_dict()) == req
-
-    def test_request_from_dict_dispatches_on_kind(self):
-        sim = request_from_dict(tiny_request().to_dict())
-        assert isinstance(sim, SimRequest)
-        sweep = request_from_dict(
-            SweepRequest(designs=("PoM",), workloads=("mcf",)).to_dict()
-        )
-        assert isinstance(sweep, SweepRequest)
 
     def test_unknown_field_rejected(self):
         payload = tiny_request().to_dict()

@@ -10,11 +10,7 @@ from repro.stats import (
     Histogram,
     Timeline,
     geomean,
-    harmonic_mean,
-    normalize_to,
-    percent_delta,
 )
-from repro.stats.summary import weighted_speedup
 
 
 class TestCounterSet:
@@ -193,29 +189,6 @@ class TestSummary:
     def test_geomean_rejects_empty(self):
         with pytest.raises(ValueError):
             geomean([])
-
-    def test_harmonic_mean(self):
-        assert harmonic_mean([1, 1]) == pytest.approx(1.0)
-        assert harmonic_mean([2, 6]) == pytest.approx(3.0)
-
-    def test_normalize_to(self):
-        normalised = normalize_to({"a": 2.0, "b": 4.0}, "a")
-        assert normalised == {"a": 1.0, "b": 2.0}
-
-    def test_normalize_missing_baseline(self):
-        with pytest.raises(KeyError):
-            normalize_to({"a": 1.0}, "z")
-
-    def test_percent_delta_matches_equation1(self):
-        # Equation 1: improvement of x over the 16GB baseline.
-        assert percent_delta(150.0, 100.0) == pytest.approx(50.0)
-
-    def test_weighted_speedup(self):
-        assert weighted_speedup([1.0, 2.0], [2.0, 2.0]) == pytest.approx(1.5)
-
-    def test_weighted_speedup_length_mismatch(self):
-        with pytest.raises(ValueError):
-            weighted_speedup([1.0], [1.0, 2.0])
 
     @given(
         st.lists(

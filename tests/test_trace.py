@@ -8,7 +8,6 @@ from repro.trace import (
     interleave,
     read_trace,
     take,
-    truncate_instructions,
     write_trace,
 )
 
@@ -103,16 +102,6 @@ class TestStreams:
     def test_take_negative_rejected(self):
         with pytest.raises(ValueError):
             list(take([], -1))
-
-    def test_truncate_instructions(self):
-        records = [AccessRecord(i, icount_gap=10) for i in range(10)]
-        kept = list(truncate_instructions(records, 35))
-        assert len(kept) == 3  # 10+10+10 <= 35, fourth would exceed
-
-    def test_truncate_exact_boundary(self):
-        records = [AccessRecord(i, icount_gap=10) for i in range(4)]
-        kept = list(truncate_instructions(records, 40))
-        assert len(kept) == 4
 
     def test_interleave_orders_by_instruction_progress(self):
         fast_miss = [AccessRecord(i, icount_gap=1) for i in range(3)]

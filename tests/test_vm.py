@@ -1,129 +1,11 @@
-"""Tests for virtual memory and the page-fault engine."""
+"""Tests for the page-fault engine."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import KB, MB, PAGE_BYTES, THP_BYTES
-from repro.osmodel import (
-    AddressSpace,
-    BuddyAllocator,
-    PageFaultEngine,
-    PageHookDispatcher,
-    VirtualMemory,
-)
-
-
-class RecordingNotifier:
-    def __init__(self):
-        self.allocs = []
-        self.frees = []
-
-    def isa_alloc(self, segment_id):
-        self.allocs.append(segment_id)
-
-    def isa_free(self, segment_id):
-        self.frees.append(segment_id)
-
-
-class TestAddressSpace:
-    def test_translate_unmapped_is_none(self):
-        assert AddressSpace(1).translate(0x1000) is None
-
-    def test_map_and_translate(self):
-        space = AddressSpace(1)
-        space.map(0x10000, 0x4000, PAGE_BYTES)
-        assert space.translate(0x10000) == 0x4000
-        assert space.translate(0x10004) == 0x4004
-
-    def test_double_map_rejected(self):
-        space = AddressSpace(1)
-        space.map(0, 0x1000, PAGE_BYTES)
-        with pytest.raises(ValueError):
-            space.map(0, 0x2000, PAGE_BYTES)
-
-    def test_unmap(self):
-        space = AddressSpace(1)
-        space.map(0, 0x1000, 2 * PAGE_BYTES)
-        mapping = space.unmap(PAGE_BYTES)  # any page of the mapping
-        assert mapping.size == 2 * PAGE_BYTES
-        assert space.translate(0) is None
-
-    def test_unmap_missing_raises(self):
-        with pytest.raises(KeyError):
-            AddressSpace(1).unmap(0)
-
-    def test_mapped_bytes(self):
-        space = AddressSpace(1)
-        space.map(0, 0x1000, 3 * PAGE_BYTES)
-        assert space.mapped_bytes() == 3 * PAGE_BYTES
-
-
-class TestAddressSpaceLastPageCache:
-    """The one-entry last-page cache is a pure lookup shortcut: every
-    observable translation must match the uncached walk."""
-
-    def test_repeated_same_page_translations(self):
-        space = AddressSpace(1)
-        space.map(0x10000, 0x4000, PAGE_BYTES)
-        # Second lookup is served by the cache; results identical.
-        assert space.translate(0x10000) == 0x4000
-        assert space.translate(0x10008) == 0x4008
-        assert space.translate(0x10ffc) == 0x4ffc
-
-    def test_cache_does_not_leak_across_pages(self):
-        space = AddressSpace(1)
-        space.map(0, 0x1000, PAGE_BYTES)
-        space.map(PAGE_BYTES, 0x9000, PAGE_BYTES)
-        assert space.translate(4) == 0x1004
-        assert space.translate(PAGE_BYTES + 4) == 0x9004
-        assert space.translate(4) == 0x1004
-
-    def test_unmap_invalidates_cached_page(self):
-        space = AddressSpace(1)
-        space.map(0, 0x1000, PAGE_BYTES)
-        assert space.translate(0) == 0x1000  # now cached
-        space.unmap(0)
-        assert space.translate(0) is None
-
-    def test_negative_lookup_not_cached(self):
-        space = AddressSpace(1)
-        assert space.translate(0x2000) is None
-        space.map(0x2000, 0x7000, PAGE_BYTES)
-        assert space.translate(0x2000) == 0x7000
-
-    def test_remap_after_unmap_translates_fresh(self):
-        space = AddressSpace(1)
-        space.map(0, 0x1000, PAGE_BYTES)
-        assert space.translate(0) == 0x1000
-        space.unmap(0)
-        space.map(0, 0x5000, PAGE_BYTES)
-        assert space.translate(0) == 0x5000
-
-    @given(
-        st.lists(
-            st.integers(min_value=0, max_value=31), min_size=1, max_size=200
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_cached_translation_matches_model(self, vpages):
-        """Arbitrary translate sequences agree with a plain dict model
-        — the cache can never change a result (and therefore never a
-        fault count or access timing derived from one)."""
-        space = AddressSpace(1)
-        model = {}
-        for vpage in range(0, 32, 2):  # even pages mapped, odd missing
-            paddr = 0x100000 + vpage * PAGE_BYTES
-            space.map(vpage * PAGE_BYTES, paddr, PAGE_BYTES)
-            model[vpage] = paddr
-        for vpage in vpages:
-            vaddr = vpage * PAGE_BYTES + (vpage % PAGE_BYTES)
-            expected = (
-                model[vpage] + vpage % PAGE_BYTES
-                if vpage in model
-                else None
-            )
-            assert space.translate(vaddr) == expected
+from repro.config import PAGE_BYTES
+from repro.osmodel import PageFaultEngine
 
 
 class TestTranslateBatch:
@@ -234,63 +116,6 @@ class TestTranslateBatch:
             assert not engine.is_resident(probe[n_resident])
 
 
-class TestVirtualMemory:
-    def setup_method(self):
-        self.buddy = BuddyAllocator(8 * MB)
-        self.notifier = RecordingNotifier()
-        dispatcher = PageHookDispatcher(2 * KB, PAGE_BYTES, self.notifier)
-        self.vm = VirtualMemory(
-            allocate_backing=lambda size: self.buddy.alloc(
-                max(0, (size // PAGE_BYTES - 1).bit_length())
-            ),
-            free_backing=self.buddy.free,
-            dispatcher=dispatcher,
-        )
-
-    def test_first_touch_allocates(self):
-        paddr = self.vm.touch(pid=1, vaddr=0x5000)
-        assert paddr is not None
-        assert self.notifier.allocs  # ISA-Alloc fired (Algorithm 1)
-
-    def test_second_touch_is_stable(self):
-        first = self.vm.touch(1, 0x5000)
-        second = self.vm.touch(1, 0x5000)
-        assert first == second
-
-    def test_thp_touch_maps_2mb(self):
-        self.vm.touch(1, 0x200000, prefer_thp=True)
-        space = self.vm.space(1)
-        assert space.mapped_bytes() == THP_BYTES
-        assert len(self.notifier.allocs) == THP_BYTES // (2 * KB)
-
-    def test_thp_fallback_to_base_pages(self):
-        # Exhaust so no 2MB block remains but 4KB pages do.
-        holds = []
-        while self.buddy.free_bytes >= THP_BYTES:
-            holds.append(self.buddy.alloc(0))
-        self.vm.touch(1, 0x200000, prefer_thp=True)
-        assert self.vm.space(1).mapped_bytes() == PAGE_BYTES
-
-    def test_release_frees_and_notifies(self):
-        self.vm.touch(1, 0x5000)
-        before = self.buddy.free_bytes
-        self.vm.release(1, 0x5000)
-        assert self.buddy.free_bytes == before + PAGE_BYTES
-        assert self.notifier.frees
-
-    def test_release_all(self):
-        for page in range(5):
-            self.vm.touch(1, page * PAGE_BYTES)
-        released = self.vm.release_all(1)
-        assert released == 5 * PAGE_BYTES
-        assert self.vm.space(1).mapped_bytes() == 0
-
-    def test_isolated_address_spaces(self):
-        a = self.vm.touch(1, 0x5000)
-        b = self.vm.touch(2, 0x5000)
-        assert a != b
-
-
 class TestPageFaultEngine:
     def test_first_touch_is_minor_with_capacity(self):
         engine = PageFaultEngine(16 * PAGE_BYTES)
@@ -357,6 +182,33 @@ class TestPageFaultEngine:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             PageFaultEngine(100)
+
+    @given(
+        st.lists(
+            st.integers(min_value=0, max_value=47), min_size=1, max_size=200
+        ),
+        st.integers(min_value=1, max_value=12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_prime_matches_access_translate_walk(self, pages, capacity):
+        """``prime`` is ``access_translate`` without the charging: the
+        same sequence leaves the same LRU order and frames, the same
+        swapped-out set and the same batch translations."""
+        addresses = [page * PAGE_BYTES + page % 64 for page in pages]
+        primed = PageFaultEngine(capacity * PAGE_BYTES)
+        primed.prime(addresses)
+        walked = PageFaultEngine(capacity * PAGE_BYTES)
+        for address in addresses:
+            walked.access_translate(address)
+        assert list(primed._resident.items()) == list(walked._resident.items())
+        assert primed._swapped_out == walked._swapped_out
+        for page in range(48):
+            column = np.array([page * PAGE_BYTES + 5], dtype=np.int64)
+            got = primed.translate_batch(column)
+            want = walked.translate_batch(column)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+            assert got[2] == want[2]
 
     @given(
         st.lists(

@@ -14,10 +14,6 @@ from repro.workloads import (
     SyntheticAccessGenerator,
     zipf_weights,
 )
-from repro.workloads.suites import (
-    high_footprint_benchmarks,
-    memory_intensive_benchmarks,
-)
 
 
 class TestSuites:
@@ -39,15 +35,6 @@ class TestSuites:
     def test_names_order_matches_catalogue(self):
         assert benchmark_names()[0] == "bwaves"
         assert len(benchmark_names()) == 14
-
-    def test_high_footprint_filter(self):
-        names = {spec.name for spec in high_footprint_benchmarks(20.0)}
-        assert "cloverleaf" in names
-        assert "lbm" not in names  # 19.17GB
-
-    def test_memory_intensive_filter(self):
-        names = {spec.name for spec in memory_intensive_benchmarks()}
-        assert "mcf" in names and "miniGhost" not in names
 
     def test_icount_gap_reflects_mpki(self):
         assert benchmark("mcf").icount_gap == round(1000 / 59.804)
