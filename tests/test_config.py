@@ -16,6 +16,7 @@ from repro.config import (
     scaled_config,
     stacked_dram,
 )
+from repro.experiments.runner import Scale
 
 
 class TestDramTiming:
@@ -106,6 +107,33 @@ class TestSystemConfig:
         config = scaled_config().with_segment_bytes(64)
         assert config.segment_bytes == 64
         assert config.num_fast_segments == 4 * MB // 64
+
+
+class TestRatioConfig:
+    """Figures 21/23 keep a constant total and vary the slow:fast split
+    (1:3 -> 6+18, 1:5 -> 4+20, 1:7 -> 3+21 units of 24)."""
+
+    @pytest.mark.parametrize("ratio", [3, 5, 7])
+    def test_ratio_preserved(self, ratio):
+        assert Scale().with_ratio(ratio).config().capacity_ratio == ratio
+
+    @pytest.mark.parametrize("ratio", [3, 5, 7])
+    def test_total_is_constant(self, ratio):
+        config = Scale().with_ratio(ratio).config()
+        assert config.total_capacity_bytes == pytest.approx(24 * MB, rel=1e-6)
+
+    def test_one_to_three_split(self):
+        config = Scale().with_ratio(3).config()
+        assert config.fast_mem.capacity_bytes == 6 * MB
+        assert config.slow_mem.capacity_bytes == 18 * MB
+
+    def test_one_to_seven_split(self):
+        config = Scale().with_ratio(7).config()
+        assert config.fast_mem.capacity_bytes == 3 * MB
+
+    def test_invalid_ratio(self):
+        with pytest.raises(ValueError):
+            Scale().with_ratio(0).config()
 
 
 class TestCoreConfig:

@@ -144,6 +144,11 @@ class TestHeterogeneousMemory:
         self.config = scaled_config()
         self.memory = HeterogeneousMemory(self.config)
 
+    def test_bandwidth_ratio_is_four(self):
+        fast = self.memory.config.fast_mem.peak_bandwidth_bytes_per_sec
+        slow = self.memory.config.slow_mem.peak_bandwidth_bytes_per_sec
+        assert fast / slow == pytest.approx(4.0)
+
     def test_access_routes_to_devices(self):
         fast_latency = self.memory.access(True, 0, 0.0)
         slow_latency = self.memory.access(False, 0, 0.0)
