@@ -33,11 +33,15 @@ from typing import Any, Iterable, Mapping
 INFRASTRUCTURE_EVENT_KINDS = frozenset({"arena", "job_retry", "serve"})
 
 
+#: Shared by every digest: ``json.dumps`` with options builds one per call.
+_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False
+)
+
+
 def canonical_json_bytes(payload: Any) -> bytes:
     """The canonical JSON encoding: sorted keys, compact separators."""
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    ).encode("utf-8")
+    return _ENCODER.encode(payload).encode("utf-8")
 
 
 def payload_digest(payload: Any) -> str:

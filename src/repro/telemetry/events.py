@@ -16,7 +16,7 @@ processes and into the JSONL exporter.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Any, ClassVar, Dict, Mapping, Optional, Type
 
 #: ``SegmentSwap.reason`` values.
@@ -37,8 +37,9 @@ class TelemetryEvent:
     time_ns: float
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe plain dict, ``kind`` tag included."""
-        data = asdict(self)
+        """Flat JSON dict: the scalar fields in order, then ``kind``."""
+        # ``@dataclass`` caches the field names per class: __match_args__.
+        data = {name: getattr(self, name) for name in self.__match_args__}
         data["kind"] = self.kind
         return data
 
@@ -234,8 +235,13 @@ def event_from_dict(data: Mapping[str, Any]) -> TelemetryEvent:
         cls = EVENT_TYPES[data["kind"]]
     except KeyError:
         raise ValueError(f"unknown event kind {data.get('kind')!r}") from None
-    names = {f.name for f in fields(cls)}
-    return cls(**{k: v for k, v in data.items() if k in names})
+    kwargs = {name: data[name] for name in cls.__match_args__ if name in data}
+    try:
+        return cls(**kwargs)
+    except TypeError:  # the only way it fails: a required field is absent
+        missing = [f.name for f in fields(cls)
+                   if f.name not in kwargs and f.default is MISSING]
+        raise ValueError(f"{cls.kind} event missing fields {missing}") from None
 
 
 __all__ = [

@@ -57,6 +57,16 @@ class TestCanonicalDigests:
             {"a": 2, "b": 1}
         )
 
+    @pytest.mark.parametrize("payload", [
+        {"name": "Chaméléon ✓", "b": {"z": [1, 2.5], "a": None}},
+        [0.1, 1e300, -0.0, None, True, "ß"],
+        {"nested": {"deeper": {"x": -0.0, "y": 1e300}}, "0": 0.1},
+    ], ids=["non_ascii", "float_edges", "nested"])
+    def test_shared_encoder_matches_json_dumps(self, payload):
+        assert canonical_json_bytes(payload) == json.dumps(
+            payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False
+        ).encode()
+
     def test_value_changes_change_the_digest(self):
         assert payload_digest({"a": 1}) != payload_digest({"a": 2})
         assert payload_digest({"a": 1.0}) != payload_digest({"a": 1.0000001})

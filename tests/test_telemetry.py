@@ -2,14 +2,19 @@
 recorders, both trace exporters, and the live SRRT invariant auditor
 (clean full-registry sweep + deliberate corruption)."""
 
+import dataclasses
 import json
+import typing
 
 import pytest
 
+from repro.check import events_digest
 from repro.experiments import SMOKE_SCALE
 from repro.experiments.designs import REGISTRY
 from repro.telemetry import (
+    EVENT_TYPES,
     NULL_BUS,
+    ArenaEvent,
     EpochSample,
     EventBus,
     EventLog,
@@ -20,6 +25,7 @@ from repro.telemetry import (
     ModeTransition,
     PageFaultEvent,
     SegmentSwap,
+    ServeEvent,
     TimelineRecorder,
     WritebackEvent,
     event_from_dict,
@@ -76,16 +82,64 @@ class TestEventWireFormat:
         WritebackEvent(4.0, group=0, local=5),
         PageFaultEvent(5.0, page=123, major=False),
         EpochSample(6.0, epoch=1, accesses=100.0, fast_hits=60.0,
-                    swaps=3.0, faults=1.0),
+                    swaps=3.0, faults=1),
         JobRetryEvent(0.0, design="PoM", workload="mcf", attempt=2,
                       reason="crash"),
+        ArenaEvent(0.0, action="attach", segment="repro-arena-1",
+                   bytes=4096, workloads=1),
+        ServeEvent(0.0, action="complete", job="9f2c", client="c1",
+                   queue_depth=3, seconds=0.25),
     ]
+
+    #: ``events_digest(EVENTS)``: any change to the wire bytes of a
+    #: simulation event (field order aside) moves it, as it would move
+    #: every committed golden's events digest.
+    EVENTS_DIGEST = (
+        "74e36d3843adb0e53b94fd36fc2c6e4a261ca3a8cd77b437b7ff7252751a7698"
+    )
+
+    #: The annotations a field may carry: JSON scalars only, because
+    #: ``to_dict`` hands out field values without copying them.
+    JSON_SCALARS = (float, int, str, bool, typing.Optional[int])
+
+    def test_every_kind_has_a_sample(self):
+        assert {e.kind for e in self.EVENTS} == set(EVENT_TYPES)
 
     @pytest.mark.parametrize("event", EVENTS, ids=lambda e: e.kind)
     def test_round_trip_is_lossless(self, event):
         data = event.to_dict()
         assert json.loads(json.dumps(data)) == data
         assert event_from_dict(data) == event
+
+    @pytest.mark.parametrize("event", EVENTS, ids=lambda e: e.kind)
+    def test_to_dict_is_asdict_then_kind(self, event):
+        data = event.to_dict()
+        expected = {**dataclasses.asdict(event), "kind": event.kind}
+        assert data == expected
+        assert list(data) == list(expected)
+
+    @pytest.mark.parametrize("cls", EVENT_TYPES.values(),
+                             ids=lambda c: c.kind)
+    def test_fields_are_json_scalars(self, cls):
+        hints = typing.get_type_hints(cls)
+        for field in dataclasses.fields(cls):
+            assert hints[field.name] in self.JSON_SCALARS, field.name
+
+    def test_events_digest_is_pinned(self):
+        assert events_digest(self.EVENTS) == self.EVENTS_DIGEST
+
+    def test_missing_field_rejected(self):
+        data = SegmentSwap(1.0, group=2, moved_local=3,
+                           displaced_local=0).to_dict()
+        del data["group"]
+        with pytest.raises(ValueError, match=r"segment_swap .*\['group'\]"):
+            event_from_dict(data)
+
+    def test_absent_defaulted_field_takes_its_default(self):
+        data = {"kind": "isa_alloc", "time_ns": 0.0, "segment": 4,
+                "alloc": True}
+        assert event_from_dict(data) == IsaAllocEvent(0.0, segment=4,
+                                                      alloc=True)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown event kind"):
