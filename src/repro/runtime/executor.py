@@ -11,11 +11,13 @@ never share state, and each is seed-deterministic.
 
 Fault tolerance (see docs/RUNTIME.md):
 
-* **per-job timeout** — each pooled attempt runs in its own worker
-  process with a wall-clock deadline; an overdue worker is terminated
-  and only *its* job is charged;
+* **reusable workers** — each pooled worker process is forked once
+  per sweep and fed one cell attempt at a time over its pipe;
+* **per-job timeout** — each pooled attempt runs under a wall-clock
+  deadline; an overdue worker is terminated and replaced, and only
+  *its* job is charged;
 * **crash isolation** — a worker that dies (segfault, OOM-kill,
-  injected ``os._exit``) fails only its own job, wrapped in a
+  injected ``os._exit``) fails only the job in flight, wrapped in a
   :class:`~repro.runtime.faults.SweepJobError` carrying (design,
   workload, attempt) once retries are exhausted;
 * **bounded retries** — failed attempts re-queue with exponential
@@ -48,7 +50,8 @@ from __future__ import annotations
 import random
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import dataclass
 from multiprocessing import connection, get_context
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -120,34 +123,42 @@ class _Job:
 
 @dataclass
 class _Worker:
-    """A live worker process running exactly one cell attempt."""
+    """A live worker process fed cell attempts over its pipe; ``job``
+    is the attempt in flight and ``started`` its start time."""
 
-    job: _Job
     process: object
     conn: connection.Connection
-    started: float = field(default_factory=time.monotonic)
+    job: Optional[_Job] = None
+    started: float = 0.0
 
 
-def _cell_worker(conn, args) -> None:
-    """Child-process entry: run one attempt, ship the outcome back.
+def _cell_worker(conn) -> None:
+    """Child-process entry: run attempts until ``None`` or EOF.
 
-    Everything crosses the pipe — the result on success, the exception
-    on failure (re-wrapped if unpicklable).  An injected crash
-    (``os._exit`` inside :func:`timed_cell`) bypasses all of this and
-    is detected by the parent as EOF + a dead process.
+    Each message is one attempt's :func:`timed_cell` args.  Everything
+    crosses the pipe — the result on success, the exception on failure
+    (re-wrapped if unpicklable); a ``BaseException`` that is not an
+    ``Exception`` is reported and then ends the worker.  An injected
+    crash (``os._exit`` inside :func:`timed_cell`) bypasses all of this
+    and is detected by the parent as EOF + a dead process.
     """
     try:
-        try:
-            payload = timed_cell(args)
-        except BaseException as exc:  # noqa: BLE001 — must cross the pipe
+        for args in iter(conn.recv, None):
             try:
-                conn.send(("error", exc))
-            except Exception:
-                conn.send(
-                    ("error", RuntimeError(f"{type(exc).__name__}: {exc}"))
-                )
-        else:
-            conn.send(("ok", payload))
+                payload = timed_cell(args)
+            except BaseException as exc:  # noqa: BLE001 — must cross the pipe
+                try:
+                    conn.send(("error", exc))
+                except Exception:
+                    conn.send(
+                        ("error", RuntimeError(f"{type(exc).__name__}: {exc}"))
+                    )
+                if not isinstance(exc, Exception):
+                    break
+            else:
+                conn.send(("ok", payload))
+    except EOFError:
+        pass  # the parent went away
     finally:
         conn.close()
 
@@ -492,17 +503,19 @@ class SweepExecutor:
     def _run_supervised(
         self, scale, jobs: deque, manifest: Optional[Dict] = None
     ) -> Iterator[CellOutcome]:
-        """Process-per-attempt supervisor.
+        """Supervisor of up to ``jobs`` reusable worker processes.
 
-        Each attempt runs in its own (cheap, forked) worker process
-        with a private result pipe, which is what buys exact fault
-        attribution: a crash or timeout charges *only* the job on that
-        worker, and killing a hung worker cannot disturb its siblings.
-        After ``degrade_after`` crashes + timeouts the remaining cells
-        finish serially inline.
+        Each (cheap, forked) worker lives for this call and runs one
+        attempt at a time over a private pipe, which is what buys exact
+        fault attribution: a crash or timeout charges *only* the job in
+        flight and costs one lazily spawned replacement worker; an error
+        reply keeps its worker.  After ``degrade_after`` crashes +
+        timeouts the rest finish serially inline.  No worker outlives
+        the call.
         """
         ctx = get_context()
         active: List[_Worker] = []
+        idle: List[_Worker] = []
         failures = 0
         try:
             while jobs or active:
@@ -519,7 +532,15 @@ class SweepExecutor:
                     job = self._pop_ready(jobs, now)
                     if job is None:
                         break
-                    active.append(self._spawn(ctx, scale, job, manifest))
+                    worker = idle.pop() if idle else self._spawn(ctx)
+                    if not worker.process.is_alive():
+                        # Died between cells: replace it, charge no job.
+                        self._reap(worker)
+                        worker = self._spawn(ctx)
+                    worker.job, worker.started = job, time.monotonic()
+                    with suppress(OSError):  # died just now: a crash
+                        worker.conn.send(self._args(scale, job, manifest))
+                    active.append(worker)
                 if not active:
                     # Everything is backing off; sleep to the earliest.
                     soonest = min(job.not_before for job in jobs)
@@ -534,11 +555,13 @@ class SweepExecutor:
                     if worker.conn in ready:
                         active.remove(worker)
                         outcome, exc = self._collect(worker)
+                        if isinstance(exc, WorkerCrashError):
+                            failures += 1
+                        if not worker.conn.closed:  # not reaped
+                            idle.append(worker)
                         if exc is None:
                             yield outcome
                         else:
-                            if isinstance(exc, WorkerCrashError):
-                                failures += 1
                             jobs.append(self._retry(worker.job, exc))
                     elif (
                         self.timeout is not None
@@ -557,6 +580,11 @@ class SweepExecutor:
         finally:
             for worker in active:
                 self._kill(worker)
+            for worker in idle:
+                with suppress(OSError):
+                    worker.conn.send(None)
+            for worker in idle:
+                self._reap(worker)
         if jobs:  # degraded: finish the sweep serially inline
             yield from self._run_serial(scale, jobs, manifest)
 
@@ -584,37 +612,32 @@ class SweepExecutor:
                 return job
         return None
 
-    def _spawn(
-        self, ctx, scale, job: _Job, manifest: Optional[Dict] = None
-    ) -> _Worker:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
+    def _spawn(self, ctx) -> _Worker:
+        parent_conn, child_conn = ctx.Pipe()
         process = ctx.Process(
-            target=_cell_worker,
-            args=(child_conn, self._args(scale, job, manifest)),
-            daemon=True,
+            target=_cell_worker, args=(child_conn,), daemon=True
         )
         process.start()
         child_conn.close()
-        return _Worker(job=job, process=process, conn=parent_conn)
+        return _Worker(process=process, conn=parent_conn)
 
     def _collect(
         self, worker: _Worker
     ) -> Tuple[Optional[CellOutcome], Optional[BaseException]]:
         """Drain a readable worker: its outcome, or the failure that
-        took it (a crash surfaces as EOF + a dead process)."""
+        took it (a crash surfaces as EOF + a dead process).  Reaps a
+        worker that crashed or exits after its report."""
         try:
             status, payload = worker.conn.recv()
         except (EOFError, OSError):
             status, payload = None, None
-        worker.conn.close()
-        worker.process.join(timeout=10.0)
-        if worker.process.is_alive():  # pragma: no cover — paranoia
-            worker.process.kill()
-            worker.process.join()
         if status == "ok":
             return payload, None
         if status == "error":
+            if not isinstance(payload, Exception):
+                self._reap(worker)
             return None, payload
+        self._reap(worker)
         exitcode = worker.process.exitcode
         return None, WorkerCrashError(
             f"worker for cell {worker.job.design}/{worker.job.workload} "
@@ -624,6 +647,11 @@ class SweepExecutor:
 
     def _kill(self, worker: _Worker) -> None:
         worker.process.terminate()
+        self._reap(worker)
+
+    @staticmethod
+    def _reap(worker: _Worker) -> None:
+        """Join an exiting (or killed) worker and close its pipe."""
         worker.process.join(timeout=10.0)
         if worker.process.is_alive():  # pragma: no cover — paranoia
             worker.process.kill()

@@ -112,3 +112,21 @@ def isolated_cache_dir(
     path = tmp_path / "default-cache"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(path))
     return path
+
+
+@pytest.fixture
+def spawned(monkeypatch: pytest.MonkeyPatch) -> list:
+    """Every pool worker a :class:`SweepExecutor` forks during the
+    test, in spawn order (counts spawns without changing them)."""
+    from repro.runtime.executor import SweepExecutor
+
+    workers: list = []
+    spawn = SweepExecutor._spawn
+
+    def counting_spawn(self, ctx):
+        worker = spawn(self, ctx)
+        workers.append(worker)
+        return worker
+
+    monkeypatch.setattr(SweepExecutor, "_spawn", counting_spawn)
+    return workers

@@ -9,6 +9,8 @@ the environment plan active on purpose — equivalence and accounting
 must hold *under* injected crashes, hangs, and transient errors.
 """
 
+import multiprocessing
+
 import pytest
 
 from repro.experiments import SMOKE_SCALE
@@ -192,6 +194,43 @@ class TestFailureIsolation:
         assert len(results) == len(SMOKE_SCALE.benchmarks)
         assert executor.metrics.crashes == 1
         assert executor.metrics.retries == 1
+
+
+class TestWorkerReuse:
+    """Pool workers are forked once per sweep and fed cells over their
+    pipe; none outlives the sweep, however it ends."""
+
+    def test_fault_free_sweep_spawns_one_worker_per_slot(self, spawned):
+        executor = SweepExecutor(jobs=2, faults=None)
+        results = executor.run(SMOKE_SCALE, DESIGNS)
+        assert len(results) == 6
+        assert len(spawned) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_small_sweep_spawns_no_spare_workers(self, spawned):
+        SweepExecutor(jobs=4, faults=None).run(SMOKE_SCALE, ("PoM",))
+        assert len(spawned) == len(SMOKE_SCALE.benchmarks)
+        assert multiprocessing.active_children() == []
+
+    def test_failed_sweep_leaves_no_workers(self, spawned):
+        plan = FaultPlan(seed=0, errors=1)
+        executor = SweepExecutor(
+            jobs=2, retries=0, faults=plan, backoff=0.0
+        )
+        with pytest.raises(SweepJobError):
+            executor.run(SMOKE_SCALE, DESIGNS)
+        assert spawned
+        assert multiprocessing.active_children() == []
+
+    def test_interrupted_sweep_leaves_no_workers(self, spawned):
+        def interrupt(stat, done, total):
+            raise KeyboardInterrupt
+
+        executor = SweepExecutor(jobs=2, faults=None, on_cell=interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            executor.run(SMOKE_SCALE, DESIGNS)
+        assert len(spawned) == 2
+        assert multiprocessing.active_children() == []
 
 
 class TestMetrics:

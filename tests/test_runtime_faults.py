@@ -12,8 +12,10 @@ suite stays meaningful when CI layers its own ``$REPRO_FAULTS`` plan
 over the whole test run (the fault-matrix job).
 """
 
+import multiprocessing
 import pickle
 import random
+import signal
 
 import pytest
 
@@ -287,7 +289,7 @@ class TestByteEquality:
 
 class TestTimeoutsAndDegradation:
     @pytest.mark.slow
-    def test_pooled_hang_is_killed_and_retried(self, reference):
+    def test_pooled_hang_is_killed_and_retried(self, reference, spawned):
         plan = FaultPlan(seed=8, hangs=1, hang_seconds=HANG)
         executor = SweepExecutor(
             jobs=2, faults=plan, retries=1, timeout=1.5, backoff=0.0
@@ -296,6 +298,10 @@ class TestTimeoutsAndDegradation:
         assert {c: r.to_dict() for c, r in results.items()} == reference
         assert executor.metrics.timeouts == 1
         assert executor.metrics.retries == 1
+        # Only the hung worker was killed; the others were stopped.
+        exits = sorted(w.process.exitcode for w in spawned)
+        assert exits == [-signal.SIGTERM] + [0] * (len(spawned) - 1)
+        assert multiprocessing.active_children() == []
 
     def test_exhausted_timeout_surfaces_job_context(self):
         plan = FaultPlan(seed=8, hangs=1)
@@ -321,6 +327,57 @@ class TestTimeoutsAndDegradation:
         assert "degraded=serial" in executor.metrics.summary()
         assert executor.metrics.crashes == 3
         assert {c: r.to_dict() for c, r in results.items()} == reference
+
+
+class TestFaultAttributionWithReuse:
+    """Workers are reused across cells, yet every fault is charged to
+    exactly the job in flight: a crash costs one replacement worker,
+    an error reply keeps its worker."""
+
+    GRID_SCALE = tiny_scale(benchmarks=("mcf", "comd", "bwaves"))
+
+    def test_crashes_replace_workers_and_errors_keep_them(self, spawned):
+        # seed=8 faults the first cells of the grid (crash, crash,
+        # error, then an error on the last), so every crash is
+        # collected while later cells still need a worker.
+        plan = FaultPlan(seed=8, crashes=2, errors=2)
+        reference = run_plain(self.GRID_SCALE)
+        executor = SweepExecutor(
+            jobs=2, faults=plan, retries=1, timeout=TIMEOUT, backoff=0.0
+        )
+        results = executor.run(self.GRID_SCALE, DESIGNS)
+        assert {c: r.to_dict() for c, r in results.items()} == reference
+        assert len(spawned) == 2 + plan.crashes
+        assert executor.metrics.crashes == 2
+        assert executor.metrics.errors == 2
+        assert executor.metrics.failures == 4
+        assert executor.metrics.retries == 4
+        assert multiprocessing.active_children() == []
+
+    def test_worker_dead_between_cells_is_replaced_uncharged(
+        self, spawned
+    ):
+        reference = run_plain(self.GRID_SCALE)
+
+        def kill_finished_worker(stat, done, total):
+            if done == 1:
+                # The worker that just ran this cell now sits idle.
+                (worker,) = [
+                    w for w in spawned
+                    if w.job.cell == (stat.design, stat.workload)
+                ]
+                worker.process.kill()
+                worker.process.join()
+
+        executor = SweepExecutor(
+            jobs=2, faults=None, on_cell=kill_finished_worker
+        )
+        results = executor.run(self.GRID_SCALE, DESIGNS)
+        assert {c: r.to_dict() for c, r in results.items()} == reference
+        assert executor.metrics.failures == 0
+        assert executor.metrics.retries == 0
+        assert len(spawned) == 3
+        assert multiprocessing.active_children() == []
 
 
 class _Abort(BaseException):
