@@ -21,7 +21,7 @@ interference effect central to the paper's PoM critique.
 
 from repro.dram.bank import Bank, RowBufferResult
 from repro.dram.device import DramDevice
-from repro.dram.controller import HeterogeneousMemory, TransferBuffer
+from repro.dram.controller import HeterogeneousMemory
 from repro.dram.power import DramPowerModel, EnergyReport, system_energy
 
 __all__ = [
@@ -31,6 +31,5 @@ __all__ = [
     "DramPowerModel",
     "EnergyReport",
     "HeterogeneousMemory",
-    "TransferBuffer",
     "system_energy",
 ]

@@ -11,8 +11,6 @@ the full swap to complete.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.config import SystemConfig
 from repro.dram.device import DramDevice
 from repro.stats import CounterSet
@@ -23,19 +21,6 @@ from repro.stats import CounterSet
 BUFFER_HIT_NS = 4.0
 
 
-@dataclass
-class TransferBuffer:
-    """A local buffer holding one in-transit segment (fast-swap)."""
-
-    segment_id: int
-    dirty: bool = False
-    completes_ns: float = 0.0
-    touches: int = field(default=0)
-
-    def in_flight(self, now_ns: float) -> bool:
-        return now_ns < self.completes_ns
-
-
 class HeterogeneousMemory:
     """The fast+slow DRAM pair with fast-swap transfer buffers."""
 
@@ -44,7 +29,8 @@ class HeterogeneousMemory:
         self.counters = counters if counters is not None else CounterSet()
         self.fast = DramDevice(config.fast_mem, self.counters)
         self.slow = DramDevice(config.slow_mem, self.counters)
-        self._buffers: dict[int, TransferBuffer] = {}
+        # In-transit segment -> the time its swap or fill completes.
+        self._buffers: dict[int, float] = {}
 
     # ------------------------------------------------------------------
     # Demand path
@@ -64,13 +50,8 @@ class HeterogeneousMemory:
         segments hit the fast-swap buffers.
         """
         if segment_id is not None:
-            buffer = self._buffers.get(segment_id)
-            # Inlined ``buffer.in_flight(now_ns)`` — one attribute
-            # compare instead of a method call on the demand path.
-            if buffer is not None and now_ns < buffer.completes_ns:
-                buffer.touches += 1
-                if is_write:
-                    buffer.dirty = True
+            completes_ns = self._buffers.get(segment_id)
+            if completes_ns is not None and now_ns < completes_ns:
                 self.counters.add("swap.buffer_hits")
                 return BUFFER_HIT_NS
         device = self.fast if in_fast else self.slow
@@ -100,8 +81,9 @@ class HeterogeneousMemory:
         seg = self.config.segment_bytes
         fast_read = self.fast.transfer(fast_address, seg, now_ns)
         slow_read = self.slow.transfer(slow_address, seg, now_ns)
-        fast_done = self.fast.transfer(fast_address, seg, max(fast_read, slow_read))
-        slow_done = self.slow.transfer(slow_address, seg, max(fast_read, slow_read))
+        read_done = max(fast_read, slow_read)
+        fast_done = self.fast.transfer(fast_address, seg, read_done)
+        slow_done = self.slow.transfer(slow_address, seg, read_done)
         completes = max(fast_done, slow_done)
         self._stage(fast_segment_id, completes)
         self._stage(slow_segment_id, completes)
@@ -141,19 +123,18 @@ class HeterogeneousMemory:
         return completes
 
     def _stage(self, segment_id: int, completes_ns: float) -> None:
-        self._buffers[segment_id] = TransferBuffer(
-            segment_id=segment_id, completes_ns=completes_ns
-        )
+        buffers = self._buffers
+        buffers[segment_id] = completes_ns
         # Bound the buffer map: expired entries are garbage-collected
         # opportunistically to keep the model O(1) in memory.
-        if len(self._buffers) > 64:
+        if len(buffers) > 64:
             expired = [
                 sid
-                for sid, buf in self._buffers.items()
-                if buf.completes_ns <= completes_ns - 1.0
+                for sid, done_ns in buffers.items()
+                if done_ns <= completes_ns - 1.0
             ]
             for sid in expired:
-                del self._buffers[sid]
+                del buffers[sid]
 
     # ------------------------------------------------------------------
     # Introspection

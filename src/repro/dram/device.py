@@ -16,7 +16,7 @@ approximation for refresh-induced unavailability.
 from __future__ import annotations
 
 from repro.config import DramConfig, CACHELINE_BYTES
-from repro.dram.bank import Bank, RowBufferResult
+from repro.dram.bank import Bank
 from repro.stats import CounterSet
 
 
@@ -43,16 +43,17 @@ class DramDevice:
         self._name_reads = f"{scope}.reads"
         self._name_writes = f"{scope}.writes"
         self._name_busy = f"{scope}.busy_ns"
-        # Row-class counter names, plus the members themselves for
-        # identity tests — both enum ``.value`` reads and enum-keyed
+        self._name_transfers = f"{scope}.transfers"
+        self._name_transfer_bytes = f"{scope}.transfer_bytes"
+        # Row-class counter names: enum ``.value`` reads and enum-keyed
         # dict lookups run Python-level descriptors/hashes and showed
-        # up in profiles, so the demand path branches on ``is``.
+        # up in profiles, so ``access`` and ``transfer`` branch on the
+        # row class instead of building a ``RowBufferResult``.
         self._name_row_hit = f"{scope}.row_hit"
         self._name_row_miss = f"{scope}.row_miss"
         self._name_row_conflict = f"{scope}.row_conflict"
-        self._name_row = {
-            result: f"{scope}.row_{result.value}" for result in RowBufferResult
-        }
+        # Transfer size -> (per-channel stream ns, total bus busy ns).
+        self._stream: dict[int, tuple[float, float]] = {}
         # Inlined address-mapping constants (see ``map_address``).
         self._capacity = config.capacity_bytes
         self._channels = config.channels
@@ -85,10 +86,7 @@ class DramDevice:
         banks interleave at row granularity for bank-level parallelism.
         """
         if address < 0 or address >= self.config.capacity_bytes:
-            raise ValueError(
-                f"address {address:#x} outside {self.config.name} device "
-                f"(capacity {self.config.capacity_bytes:#x})"
-            )
+            raise self._outside(address)
         line = address // CACHELINE_BYTES
         channel = line % self.config.channels
         row_global = address // self.config.row_bytes
@@ -99,6 +97,12 @@ class DramDevice:
         bank = channel * banks_per_channel + bank_in_channel
         row = row_global // banks_per_channel
         return channel, bank, row
+
+    def _outside(self, address: int) -> ValueError:
+        return ValueError(
+            f"address {address:#x} outside {self.config.name} device "
+            f"(capacity {self._capacity:#x})"
+        )
 
     # ------------------------------------------------------------------
     # Demand accesses
@@ -112,10 +116,7 @@ class DramDevice:
         # demand path is hot enough that the extra call and the config
         # attribute chains were measurable.
         if address < 0 or address >= self._capacity:
-            raise ValueError(
-                f"address {address:#x} outside {self.config.name} device "
-                f"(capacity {self._capacity:#x})"
-            )
+            raise self._outside(address)
         row_global = address // self._row_bytes
         banks_per_channel = self._banks_per_channel
         channel = (address // CACHELINE_BYTES) % self._channels
@@ -192,42 +193,71 @@ class DramDevice:
         holds the channel data bus, so demand accesses arriving during
         the transfer queue behind it — the swap-interference mechanism.
         """
-        if num_bytes <= 0:
-            raise ValueError("transfer size must be positive")
-        if self._deferred:
+        cost = self._stream.get(num_bytes)
+        if cost is None:
+            if num_bytes <= 0:
+                raise ValueError("transfer size must be positive")
+            # Within each channel the open row streams back-to-back (a
+            # 2KB segment is one row in Table I); each further row opens.
+            config = self.config
+            per_channel_bytes = -(-num_bytes // self._channels)  # ceil
+            rows_touched = max(1, -(-num_bytes // self._row_bytes))
+            extra_opens = (rows_touched - 1) * config.timing.row_miss_cycles
+            extra_open_ns = extra_opens / config.bus_frequency_hz * 1e9
+            stream_ns = config.burst_time_ns(per_channel_bytes) + extra_open_ns
+            cost = self._stream[num_bytes] = (
+                stream_ns, stream_ns * self._channels
+            )
+        stream_ns, busy_ns = cost
+        if self._pending_accesses:
             # Transfers share the ``busy_ns`` counter with deferred
             # demand accesses; flush the pending tallies first so the
             # float accumulation order matches the undeferred path.
             self.flush_deferred_stats()
-        _, bank_index, row = self.map_address(address)
-        bank = self._banks[bank_index]
-        # Opening cost: the first access in the streamed region.
-        data_ready_ns, result = bank.access(row, now_ns)
+        # Inlined ``map_address`` and the fused :meth:`Bank.access`, as
+        # in :meth:`access`: the opening cost of the streamed region.
+        if address < 0 or address >= self._capacity:
+            raise self._outside(address)
+        row_global = address // self._row_bytes
+        banks_per_channel = self._banks_per_channel
+        channel = (address // CACHELINE_BYTES) % self._channels
+        bank = self._banks[
+            channel * banks_per_channel + row_global % banks_per_channel
+        ]
+        row = row_global // banks_per_channel
+        ready_ns = bank.ready_ns
+        start_ns = now_ns if now_ns > ready_ns else ready_ns
+        open_row = bank.open_row
+        bank.open_row = row
+        if open_row == row:
+            data_ready_ns = ready_ns = start_ns + bank._hit_ns
+            name_row = self._name_row_hit
+        else:
+            ready_ns = start_ns + bank._tras_ns
+            if open_row is None:
+                data_ready_ns = start_ns + bank._miss_ns
+                name_row = self._name_row_miss
+            else:
+                data_ready_ns = start_ns + bank._conflict_ns
+                name_row = self._name_row_conflict
         # Lines interleave across channels (same mapping as demand
         # accesses), so the stream splits evenly over every channel and
-        # runs at the full device rate; within each channel the open row
-        # streams back-to-back (a 2KB segment is one row in Table I).
-        channels = self.config.channels
-        per_channel_bytes = -(-num_bytes // channels)  # ceil division
-        rows_touched = max(1, -(-num_bytes // self.config.row_bytes))
-        extra_opens = (rows_touched - 1) * self.config.timing.row_miss_cycles
-        extra_open_ns = extra_opens / self.config.bus_frequency_hz * 1e9
-        stream_ns = self.config.burst_time_ns(per_channel_bytes) + extra_open_ns
+        # runs at the full device rate.
+        channel_free_ns = self._channel_free_ns
         finish_ns = data_ready_ns
-        for channel in range(channels):
-            burst_start_ns = max(
-                data_ready_ns, self._channel_free_ns[channel]
-            )
-            channel_finish_ns = burst_start_ns + stream_ns
-            self._channel_free_ns[channel] = channel_finish_ns
-            finish_ns = max(finish_ns, channel_finish_ns)
-        bank.ready_ns = max(bank.ready_ns, finish_ns)
-
-        self.counters.add(f"{self._scope}.transfers")
-        self.counters.add(f"{self._scope}.transfer_bytes", num_bytes)
+        for channel, free_ns in enumerate(channel_free_ns):
+            if data_ready_ns >= free_ns:  # what ``max()`` picks on a tie
+                free_ns = data_ready_ns
+            channel_finish_ns = free_ns + stream_ns
+            channel_free_ns[channel] = channel_finish_ns
+            if channel_finish_ns > finish_ns:
+                finish_ns = channel_finish_ns
+        bank.ready_ns = finish_ns if finish_ns > ready_ns else ready_ns
+        self.counters.add(self._name_transfers)
+        self.counters.add(self._name_transfer_bytes, num_bytes)
         self.counters.add(self._name_bytes, num_bytes)
-        self.counters.add(self._name_row[result])
-        self.counters.add(self._name_busy, stream_ns * channels)
+        self.counters.add(name_row)
+        self.counters.add(self._name_busy, busy_ns)
         return finish_ns
 
     # ------------------------------------------------------------------

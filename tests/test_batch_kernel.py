@@ -22,6 +22,7 @@ from repro.experiments.designs import REGISTRY
 from repro.experiments.runner import SMOKE_SCALE
 from repro.sim import KERNELS, KernelDecision, select_kernel, simulate
 from repro.stats import CounterSet, Histogram
+from repro.stats.counters import _LOOP_MAX_REPEATS
 from repro.telemetry.bus import EventBus
 from repro.telemetry.events import EpochSample
 from repro.telemetry.recorder import EventLog
@@ -339,6 +340,8 @@ class TestWarmupBoundary:
         "Chameleon-Opt": "chameleon.cache_hits",
         "Alloy-Cache": "alloy.hits",
         "KNL-hybrid-25": "knl.cache_misses",
+        # Deferred demand bursts and segment transfers interleave here.
+        "CAMEO": "dram.stacked.busy_ns",
     }
 
     @staticmethod
@@ -442,11 +445,15 @@ class TestBulkAccumulators:
             counters.add_many("k", [0.5, -2.5, 1.0])
         assert counters["k"] == 1.0
 
-    def test_add_repeat_is_a_strict_left_fold(self):
+    @pytest.mark.parametrize(
+        "count", [3, _LOOP_MAX_REPEATS - 1, _LOOP_MAX_REPEATS, 1000]
+    )
+    def test_add_repeat_is_a_strict_left_fold(self, count):
+        """Both sides of the loop/``fold_sum`` cutoff fold left."""
         bulk = CounterSet({"k": 1e16})
-        bulk.add_repeat("k", 1.0, 1000)
-        assert bulk["k"] == self._left_fold(1e16, [1.0] * 1000) == 1e16
-        assert bulk["k"] != math.fsum([1e16] + [1.0] * 1000)
+        bulk.add_repeat("k", 1.0, count)
+        assert bulk["k"] == self._left_fold(1e16, [1.0] * count) == 1e16
+        assert bulk["k"] != math.fsum([1e16] + [1.0] * count)
 
     def test_observe_array_total_is_a_strict_left_fold(self):
         bulk = Histogram.linear(0.0, 128.0, 8)

@@ -1,8 +1,10 @@
 """Tests for the DRAM substrate (banks, devices, hetero front end)."""
 
+import random
+
 import pytest
 
-from repro.config import MB, scaled_config, stacked_dram, offchip_dram, DramTiming
+from repro.config import CACHELINE_BYTES, MB, scaled_config, stacked_dram, offchip_dram, DramTiming
 from repro.dram import Bank, DramDevice, HeterogeneousMemory, RowBufferResult
 from repro.dram.controller import BUFFER_HIT_NS
 from repro.stats import CounterSet
@@ -186,8 +188,147 @@ class TestHeterogeneousMemory:
         latency = self.memory.access(False, 0, completes + 1.0, segment_id=10)
         assert latency != BUFFER_HIT_NS
 
-    def test_buffer_write_marks_dirty(self):
+    def test_in_transit_write_hits_buffer(self):
         self.memory.start_swap(0, 0, 0.0, 0, 10)
-        self.memory.access(False, 0, 1.0, is_write=True, segment_id=10)
-        buffer = self.memory._buffers[10]
-        assert buffer.dirty
+        latency = self.memory.access(False, 0, 1.0, is_write=True, segment_id=10)
+        assert latency == BUFFER_HIT_NS
+        assert self.memory.counters["swap.buffer_hits"] == 1
+
+
+class _ReferenceDevice:
+    """The device written out with its reference forms: ``map_address``
+    plus :meth:`Bank.access` for the row step, the per-channel ``max()``
+    walk for transfers, and one live counter update per event."""
+
+    def __init__(self, config, counters):
+        self.config = config
+        self.mapper = DramDevice(config)  # only its ``map_address``
+        self.banks = [
+            Bank(config.timing, config.bus_frequency_hz)
+            for _ in range(config.total_banks)
+        ]
+        self.channel_free_ns = [0.0] * config.channels
+        self.counters = counters
+        self.scope = f"dram.{config.name}"
+        timing = config.timing
+        self.refresh = 1.0 + timing.tRFC_ns / timing.tREFI_ns
+
+    def access(self, address, now_ns, is_write):
+        channel, bank_index, row = self.mapper.map_address(address)
+        data_ready_ns, result = self.banks[bank_index].access(row, now_ns)
+        burst_ns = self.config.burst_time_ns(CACHELINE_BYTES)
+        start_ns = max(data_ready_ns, self.channel_free_ns[channel])
+        finish_ns = start_ns + burst_ns
+        self.channel_free_ns[channel] = finish_ns
+        scope, counters = self.scope, self.counters
+        counters.add(f"{scope}.accesses")
+        counters.add(f"{scope}.bytes", CACHELINE_BYTES)
+        counters.add(f"{scope}.writes" if is_write else f"{scope}.reads")
+        counters.add(f"{scope}.row_{result.value}")
+        counters.add(f"{scope}.busy_ns", burst_ns)
+        return (finish_ns - now_ns) * self.refresh
+
+    def transfer(self, address, num_bytes, now_ns):
+        config = self.config
+        _, bank_index, row = self.mapper.map_address(address)
+        bank = self.banks[bank_index]
+        data_ready_ns, result = bank.access(row, now_ns)
+        channels = config.channels
+        per_channel_bytes = -(-num_bytes // channels)
+        rows_touched = max(1, -(-num_bytes // config.row_bytes))
+        extra_opens = (rows_touched - 1) * config.timing.row_miss_cycles
+        extra_open_ns = extra_opens / config.bus_frequency_hz * 1e9
+        stream_ns = config.burst_time_ns(per_channel_bytes) + extra_open_ns
+        finish_ns = data_ready_ns
+        for channel in range(channels):
+            start_ns = max(data_ready_ns, self.channel_free_ns[channel])
+            channel_finish_ns = start_ns + stream_ns
+            self.channel_free_ns[channel] = channel_finish_ns
+            finish_ns = max(finish_ns, channel_finish_ns)
+        bank.ready_ns = max(bank.ready_ns, finish_ns)
+        scope, counters = self.scope, self.counters
+        counters.add(f"{scope}.transfers")
+        counters.add(f"{scope}.transfer_bytes", num_bytes)
+        counters.add(f"{scope}.bytes", num_bytes)
+        counters.add(f"{scope}.row_{result.value}")
+        counters.add(f"{scope}.busy_ns", stream_ns * channels)
+        return finish_ns
+
+
+class TestTransferMatchesReference:
+    """``DramDevice`` (fused row step, memoised stream cost, deferred
+    demand tallies) against :class:`_ReferenceDevice`, exactly."""
+
+    @staticmethod
+    def _assert_same_state(device, reference):
+        assert [(b.open_row, b.ready_ns) for b in device._banks] == [
+            (b.open_row, b.ready_ns) for b in reference.banks
+        ]
+        assert device._channel_free_ns == reference.channel_free_ns
+
+    #: Bus occupancy starts at 0, or at 2**51 where the ulp is 0.5: every
+    #: burst and stream time here is a multiple of 1/8 ns, so only a
+    #: start this large makes the order of the float additions show.
+    BUSY_STARTS = [0.0, 2.0**51]
+
+    @pytest.mark.parametrize("busy_start", BUSY_STARTS)
+    @pytest.mark.parametrize("deferred", [False, True])
+    @pytest.mark.parametrize("fast", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_interleaved_accesses_and_transfers(
+        self, seed, fast, deferred, busy_start
+    ):
+        config = stacked_dram(4 * MB) if fast else offchip_dram(4 * MB)
+        busy = {f"dram.{config.name}.busy_ns": busy_start}
+        device = DramDevice(config, CounterSet(busy))
+        reference = _ReferenceDevice(config, CounterSet(busy))
+        if deferred:
+            device.begin_deferred_stats()
+        rng = random.Random(seed)
+        # A few hot rows per bank, so hits, misses and conflicts all
+        # occur, on both sides of transfers that hold the buses.
+        rows = [rng.randrange(config.capacity_bytes // 4096) for _ in range(6)]
+        clock_ns = 0.0
+        transfers = 0
+        for _ in range(600):
+            clock_ns += rng.choice([0.0, 0.0, 1.5, 7.0, 40.0, 300.0])
+            # Swaps issue their second leg later than the demand clock.
+            now_ns = clock_ns + rng.choice([0.0, 0.0, 0.0, 25.0, 500.0])
+            if rng.random() < 0.3:
+                num_bytes = rng.choice([64, 2048, 4096])
+                address = rng.choice(rows) * 4096 + rng.randrange(
+                    0, 4096, num_bytes
+                )
+                assert device.transfer(
+                    address, num_bytes, now_ns
+                ) == reference.transfer(address, num_bytes, now_ns)
+                transfers += 1
+                # Deferred demand tallies are folded before the
+                # transfer's own additions, so the counters agree here.
+                assert device.counters == reference.counters
+            else:
+                address = rng.choice(rows) * 4096 + rng.randrange(0, 4096, 64)
+                is_write = rng.random() < 0.4
+                assert device.access(
+                    address, now_ns, is_write
+                ) == reference.access(address, now_ns, is_write)
+                if not deferred:
+                    assert device.counters == reference.counters
+            self._assert_same_state(device, reference)
+        device.end_deferred_stats()
+        assert transfers > 100
+        assert device.counters == reference.counters
+        for kind in ("hit", "miss", "conflict"):
+            assert device.counters[f"dram.{config.name}.row_{kind}"] > 0
+
+    @pytest.mark.parametrize("address", [-64, -1, 4 * MB, 4 * MB + 2048])
+    def test_out_of_range_transfer_raises_like_map_address(self, address):
+        device = make_device()
+        with pytest.raises(ValueError) as mapped:
+            device.map_address(address)
+        with pytest.raises(ValueError) as transferred:
+            device.transfer(address, 2048, 0.0)
+        assert str(transferred.value) == str(mapped.value) == (
+            f"address {address:#x} outside stacked device "
+            f"(capacity {4 * MB:#x})"
+        )
