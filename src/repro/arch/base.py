@@ -152,10 +152,9 @@ class MemoryArchitecture(abc.ABC):
     _batch_stats = False
 
     def begin_batch_stats(self) -> None:
-        """Enter bulk-stats mode: device demand counters and per-access
-        policy counters are tallied locally until flushed (transfers
-        flush automatically to keep the shared ``busy_ns`` accumulation
-        order)."""
+        """Enter bulk-stats mode: device demand and transfer counters
+        and per-access policy counters are tallied locally until flushed
+        (see :meth:`repro.dram.DramDevice.flush_deferred_stats`)."""
         for device in self._batch_devices():
             device.begin_deferred_stats()
         self._batch_stats = True

@@ -10,33 +10,22 @@ it by 10.5% despite harvesting the same amount of free space.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.config import SystemConfig
 from repro.arch.base import MemoryArchitecture
-from repro.arch.remap import GroupState, Mode, SegmentGeometry
+from repro.arch.remap import GroupState, GroupTable, Mode
 from repro.stats import CounterSet
 
 
-class PolymorphicMemory(MemoryArchitecture):
+class PolymorphicMemory(MemoryArchitecture, GroupTable):
     """Free stacked segments cache their group; no hot-page swapping."""
 
     name = "polymorphic"
+    #: Boot state: nothing allocated, stacked slot free => cache.
+    boot_mode = Mode.CACHE
 
     def __init__(self, config: SystemConfig, counters: CounterSet | None = None):
         super().__init__(config, counters)
-        self.geometry = SegmentGeometry.from_config(config)
-        self._groups: Dict[int, GroupState] = {}
-
-    def group_state(self, group: int) -> GroupState:
-        state = self._groups.get(group)
-        if state is None:
-            # Boot state: nothing allocated, stacked slot free => cache.
-            state = GroupState(
-                size=self.geometry.segments_per_group, mode=Mode.CACHE
-            )
-            self._groups[group] = state
-        return state
+        self._init_groups(config)
 
     # ------------------------------------------------------------------
     # ISA hooks (the patent's OS co-operation)

@@ -12,11 +12,9 @@ Chameleon removes.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.config import SystemConfig
 from repro.arch.base import MemoryArchitecture
-from repro.arch.remap import GroupState, Mode, SegmentGeometry
+from repro.arch.remap import GroupState, GroupTable, Mode
 from repro.stats import CounterSet
 from repro.telemetry.events import SegmentSwap
 
@@ -33,7 +31,7 @@ DEFAULT_SWAP_COOLDOWN = 64
 _CACHE = Mode.CACHE
 
 
-class PoMArchitecture(MemoryArchitecture):
+class PoMArchitecture(MemoryArchitecture, GroupTable):
     """PoM with segment-restricted remapping and competing counters."""
 
     name = "pom"
@@ -52,24 +50,12 @@ class PoMArchitecture(MemoryArchitecture):
         super().__init__(config, counters)
         self.swap_threshold = swap_threshold
         self.swap_cooldown = swap_cooldown
-        self.geometry = SegmentGeometry.from_config(config)
-        self._groups: Dict[int, GroupState] = {}
+        self._init_groups(config)
         # Hot-path constants mirroring the geometry (attribute chains
         # through the frozen dataclass dominated the demand path).
         self._segment_bytes = self.geometry.segment_bytes
         self._num_fast = self.geometry.num_fast_segments
         self._total_segments = self.geometry.total_segments
-
-    # ------------------------------------------------------------------
-
-    def group_state(self, group: int) -> GroupState:
-        state = self._groups.get(group)
-        if state is None:
-            state = GroupState(
-                size=self.geometry.segments_per_group, mode=Mode.POM
-            )
-            self._groups[group] = state
-        return state
 
     # ------------------------------------------------------------------
 
@@ -150,20 +136,31 @@ class PoMArchitecture(MemoryArchitecture):
         reason: str = "counter",
     ) -> None:
         """Swap ``local`` (off-chip) with the stacked-slot resident."""
-        slot = state.slot_of[local]
+        slot_of = state.slot_of
+        slot = slot_of[local]
         if slot == 0:
             return
-        _, fast_address = self.geometry.slot_device_address(group, 0, 0)
-        _, slow_address = self.geometry.slot_device_address(group, slot, 0)
-        fast_resident = state.resident_of_fast()
+        # ``geometry.segment_at`` (``local * NF + group``; same range
+        # errors), ``slot_device_address`` and ``state.swap_slots(0,
+        # slot)`` as plain arithmetic, as in ``access_timing``.
+        num_fast = self._num_fast
+        if not 0 <= group < num_fast:
+            raise ValueError(f"group {group} out of range")
+        if not 0 <= local < len(slot_of):
+            raise ValueError(f"local id {local} out of range")
+        segment_bytes = self._segment_bytes
+        seg_at = state.seg_at
+        fast_resident = seg_at[0]
         self.memory.start_swap(
-            fast_address=fast_address,
-            slow_address=slow_address,
-            now_ns=now_ns,
-            fast_segment_id=self.geometry.segment_at(group, fast_resident),
-            slow_segment_id=self.geometry.segment_at(group, local),
+            group * segment_bytes,
+            ((slot - 1) * num_fast + group) * segment_bytes,
+            now_ns,
+            fast_resident * num_fast + group,
+            local * num_fast + group,
         )
-        state.swap_slots(0, slot)
+        moved = seg_at[slot]
+        seg_at[0], seg_at[slot] = moved, fast_resident
+        slot_of[fast_resident], slot_of[moved] = slot, 0
         self.counters.add("pom.swaps")
         bus = self.telemetry
         if bus.enabled:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.config import SystemConfig
 
@@ -164,6 +164,15 @@ class GroupState:
         if self.cached is not None and not 0 <= self.cached < self.size:
             raise AssertionError("cached local id out of range")
 
+    def clone(self) -> "GroupState":
+        """An independent copy, not re-validated (see GroupTable)."""
+        twin = object.__new__(GroupState)
+        twin.__dict__.update(self.__dict__)
+        twin.seg_at = self.seg_at[:]
+        twin.slot_of = self.slot_of[:]
+        twin.abv = self.abv[:]
+        return twin
+
     # -- remapping ------------------------------------------------------
 
     def swap_slots(self, slot_a: int, slot_b: int) -> None:
@@ -186,3 +195,24 @@ class GroupState:
 
     def is_identity(self) -> bool:
         return all(slot == local for slot, local in enumerate(self.seg_at))
+
+
+class GroupTable:
+    """Mixin: a design's SRRT entries, built on first touch as clones
+    of one boot template (identity remap, nothing allocated, mode
+    :attr:`boot_mode`) that is validated once, with the design."""
+
+    boot_mode = Mode.POM
+
+    def _init_groups(self, config: SystemConfig) -> None:
+        self.geometry = SegmentGeometry.from_config(config)
+        self._groups: Dict[int, GroupState] = {}
+        self._boot = GroupState(
+            size=self.geometry.segments_per_group, mode=self.boot_mode
+        )
+
+    def group_state(self, group: int) -> GroupState:
+        state = self._groups.get(group)
+        if state is None:
+            state = self._groups[group] = self._boot.clone()
+        return state

@@ -51,6 +51,9 @@ class ChameleonArchitecture(PoMArchitecture):
     """PoM + stacked-DRAM free-space caching, driven by ISA-Alloc/Free."""
 
     name = "chameleon"
+    #: Groups boot in cache mode: nothing is allocated yet (ABV all
+    #: zero), so every stacked segment is free.
+    boot_mode = Mode.CACHE
 
     def __init__(
         self,
@@ -73,19 +76,6 @@ class ChameleonArchitecture(PoMArchitecture):
         self._hits = 0
         self._misses = 0
         self._fills_skipped = 0
-
-    # ------------------------------------------------------------------
-    # Group state: Chameleon groups boot in cache mode (ABV all zero)
-    # ------------------------------------------------------------------
-
-    def group_state(self, group: int) -> GroupState:
-        state = self._groups.get(group)
-        if state is None:
-            state = GroupState(
-                size=self.geometry.segments_per_group, mode=Mode.CACHE
-            )
-            self._groups[group] = state
-        return state
 
     # ------------------------------------------------------------------
     # ISA-Alloc (Figure 8)

@@ -79,14 +79,19 @@ class HeterogeneousMemory:
         for exactly this reason).
         """
         seg = self.config.segment_bytes
+        # ``max(a, b)`` is ``b if b > a else a`` (the first on a tie).
         fast_read = self.fast.transfer(fast_address, seg, now_ns)
         slow_read = self.slow.transfer(slow_address, seg, now_ns)
-        read_done = max(fast_read, slow_read)
+        read_done = slow_read if slow_read > fast_read else fast_read
         fast_done = self.fast.transfer(fast_address, seg, read_done)
         slow_done = self.slow.transfer(slow_address, seg, read_done)
-        completes = max(fast_done, slow_done)
-        self._stage(fast_segment_id, completes)
-        self._stage(slow_segment_id, completes)
+        completes = slow_done if slow_done > fast_done else fast_done
+        # One prune after staging both drops what a prune after each
+        # did: both are staged at ``completes``, which a prune keeps.
+        buffers = self._buffers
+        buffers[fast_segment_id] = buffers[slow_segment_id] = completes
+        if len(buffers) > 64:
+            self._prune(completes)
         self.counters.add("swap.swaps")
         self.counters.add("swap.bytes", 4 * seg)
         return completes
@@ -111,30 +116,30 @@ class HeterogeneousMemory:
         if writeback:
             wb_fast = self.fast.transfer(fast_address, seg, start)
             wb_slow = self.slow.transfer(slow_address, seg, start)
-            start = max(wb_fast, wb_slow)
+            start = wb_slow if wb_slow > wb_fast else wb_fast
             self.counters.add("swap.writebacks")
             self.counters.add("swap.bytes", 2 * seg)
         slow_done = self.slow.transfer(slow_address, seg, start)
         fast_done = self.fast.transfer(fast_address, seg, start)
-        completes = max(slow_done, fast_done)
-        self._stage(slow_segment_id, completes)
+        completes = fast_done if fast_done > slow_done else slow_done
+        self._buffers[slow_segment_id] = completes
+        if len(self._buffers) > 64:
+            self._prune(completes)
         self.counters.add("swap.fills")
         self.counters.add("swap.bytes", 2 * seg)
         return completes
 
-    def _stage(self, segment_id: int, completes_ns: float) -> None:
+    def _prune(self, completes_ns: float) -> None:
+        """Drop expired entries once the buffer map outgrows 64, to
+        keep the model O(1) in memory."""
         buffers = self._buffers
-        buffers[segment_id] = completes_ns
-        # Bound the buffer map: expired entries are garbage-collected
-        # opportunistically to keep the model O(1) in memory.
-        if len(buffers) > 64:
-            expired = [
-                sid
-                for sid, done_ns in buffers.items()
-                if done_ns <= completes_ns - 1.0
-            ]
-            for sid in expired:
-                del buffers[sid]
+        expired = [
+            sid
+            for sid, done_ns in buffers.items()
+            if done_ns <= completes_ns - 1.0
+        ]
+        for sid in expired:
+            del buffers[sid]
 
     # ------------------------------------------------------------------
     # Introspection

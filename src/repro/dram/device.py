@@ -18,6 +18,7 @@ from __future__ import annotations
 from repro.config import DramConfig, CACHELINE_BYTES
 from repro.dram.bank import Bank
 from repro.stats import CounterSet
+from repro.stats.counters import fold_repeat
 
 
 class DramDevice:
@@ -45,13 +46,14 @@ class DramDevice:
         self._name_busy = f"{scope}.busy_ns"
         self._name_transfers = f"{scope}.transfers"
         self._name_transfer_bytes = f"{scope}.transfer_bytes"
-        # Row-class counter names: enum ``.value`` reads and enum-keyed
-        # dict lookups run Python-level descriptors/hashes and showed
-        # up in profiles, so ``access`` and ``transfer`` branch on the
-        # row class instead of building a ``RowBufferResult``.
-        self._name_row_hit = f"{scope}.row_hit"
-        self._name_row_miss = f"{scope}.row_miss"
-        self._name_row_conflict = f"{scope}.row_conflict"
+        # Row-class counter names, indexed by the row class as a small
+        # int (hit 0, miss 1, conflict 2): enum ``.value`` reads and
+        # enum-keyed dict lookups run Python-level descriptors/hashes
+        # and showed up in profiles, so ``access`` and ``transfer``
+        # never build a ``RowBufferResult``.
+        self._name_rows = tuple(
+            f"{scope}.row_{kind}" for kind in ("hit", "miss", "conflict")
+        )
         # Transfer size -> (per-channel stream ns, total bus busy ns).
         self._stream: dict[int, tuple[float, float]] = {}
         # Inlined address-mapping constants (see ``map_address``).
@@ -61,19 +63,21 @@ class DramDevice:
         self._banks_per_channel = (
             config.ranks_per_channel * config.banks_per_rank
         )
-        # Deferred demand-access accounting (the chunked kernel's bulk
-        # stats mode): instead of five counter updates per access, the
+        # Deferred accounting (the chunked kernel's bulk stats mode):
+        # instead of five counter updates per access or transfer, the
         # device tallies plain ints and flushes them in bulk.  All
-        # deferred quantities are integral except bus occupancy, which
-        # is ``n`` repeats of the constant per-burst time — both flush
-        # bit-identically (see ``flush_deferred_stats``).
+        # deferred quantities are integral except bus occupancy, kept
+        # in the scalar loop's float order (see ``flush_deferred_stats``).
         self._deferred = False
-        self._pending_accesses = 0
         self._pending_reads = 0
         self._pending_writes = 0
-        self._pending_row_hit = 0
-        self._pending_row_miss = 0
-        self._pending_row_conflict = 0
+        self._pending_rows = [0, 0, 0]
+        self._pending_transfers = 0
+        self._pending_transfer_bytes = 0
+        # Demand bursts not yet folded into bus occupancy, and the
+        # running ``busy_ns`` total once a deferred transfer seeded it.
+        self._pending_bursts = 0
+        self._busy_total: float | None = None
 
     # ------------------------------------------------------------------
     # Address mapping
@@ -126,9 +130,7 @@ class DramDevice:
         row = row_global // banks_per_channel
         # Fused :meth:`Bank.access` (the reference form lives there;
         # same classification, same timing, same state updates) with
-        # the row class kept as a small int — the per-access enum costs
-        # (``.value`` descriptors, Python-level ``__hash__``) were
-        # measurable.
+        # the row class kept as a small int.
         ready = bank.ready_ns
         start_ns = now_ns if now_ns > ready else ready
         open_row = bank.open_row
@@ -157,28 +159,18 @@ class DramDevice:
         latency_ns = (finish_ns - now_ns) * self._refresh_factor
 
         if self._deferred:
-            self._pending_accesses += 1
+            self._pending_bursts += 1
             if is_write:
                 self._pending_writes += 1
             else:
                 self._pending_reads += 1
-            if row_kind == 0:
-                self._pending_row_hit += 1
-            elif row_kind == 1:
-                self._pending_row_miss += 1
-            else:
-                self._pending_row_conflict += 1
+            self._pending_rows[row_kind] += 1
             return latency_ns
         counters = self.counters
         counters.add(self._name_accesses)
         counters.add(self._name_bytes, CACHELINE_BYTES)
         counters.add(self._name_writes if is_write else self._name_reads)
-        if row_kind == 0:
-            counters.add(self._name_row_hit)
-        elif row_kind == 1:
-            counters.add(self._name_row_miss)
-        else:
-            counters.add(self._name_row_conflict)
+        counters.add(self._name_rows[row_kind])
         counters.add(self._name_busy, burst_ns)
         return latency_ns
 
@@ -209,11 +201,6 @@ class DramDevice:
                 stream_ns, stream_ns * self._channels
             )
         stream_ns, busy_ns = cost
-        if self._pending_accesses:
-            # Transfers share the ``busy_ns`` counter with deferred
-            # demand accesses; flush the pending tallies first so the
-            # float accumulation order matches the undeferred path.
-            self.flush_deferred_stats()
         # Inlined ``map_address`` and the fused :meth:`Bank.access`, as
         # in :meth:`access`: the opening cost of the streamed region.
         if address < 0 or address >= self._capacity:
@@ -231,15 +218,15 @@ class DramDevice:
         bank.open_row = row
         if open_row == row:
             data_ready_ns = ready_ns = start_ns + bank._hit_ns
-            name_row = self._name_row_hit
+            row_kind = 0
         else:
             ready_ns = start_ns + bank._tras_ns
             if open_row is None:
                 data_ready_ns = start_ns + bank._miss_ns
-                name_row = self._name_row_miss
+                row_kind = 1
             else:
                 data_ready_ns = start_ns + bank._conflict_ns
-                name_row = self._name_row_conflict
+                row_kind = 2
         # Lines interleave across channels (same mapping as demand
         # accesses), so the stream splits evenly over every channel and
         # runs at the full device rate.
@@ -253,57 +240,89 @@ class DramDevice:
             if channel_finish_ns > finish_ns:
                 finish_ns = channel_finish_ns
         bank.ready_ns = finish_ns if finish_ns > ready_ns else ready_ns
-        self.counters.add(self._name_transfers)
-        self.counters.add(self._name_transfer_bytes, num_bytes)
-        self.counters.add(self._name_bytes, num_bytes)
-        self.counters.add(name_row)
-        self.counters.add(self._name_busy, busy_ns)
+
+        if self._deferred:
+            self._pending_transfers += 1
+            self._pending_transfer_bytes += num_bytes
+            self._pending_rows[row_kind] += 1
+            # Bus occupancy in the scalar loop's order: the live total,
+            # then the bursts of the demand accesses since the last
+            # transfer, then this transfer.
+            total = self._busy_total
+            if total is None:
+                total = self.counters[self._name_busy]
+            bursts = self._pending_bursts
+            if bursts:
+                total = fold_repeat(total, self._burst_ns, bursts)
+                self._pending_bursts = 0
+            self._busy_total = total + busy_ns
+            return finish_ns
+        counters = self.counters
+        counters.add(self._name_transfers)
+        counters.add(self._name_transfer_bytes, num_bytes)
+        counters.add(self._name_bytes, num_bytes)
+        counters.add(self._name_rows[row_kind])
+        counters.add(self._name_busy, busy_ns)
         return finish_ns
 
     # ------------------------------------------------------------------
-    # Deferred demand-access accounting (bulk stats mode)
+    # Deferred accounting (bulk stats mode)
     # ------------------------------------------------------------------
 
     def begin_deferred_stats(self) -> None:
-        """Start tallying demand-access counters locally instead of
-        updating :attr:`counters` per access (see
+        """Start tallying demand-access and transfer counters locally
+        instead of updating :attr:`counters` per event (see
         :meth:`flush_deferred_stats` for the exactness argument)."""
         self._deferred = True
 
     def flush_deferred_stats(self) -> None:
         """Publish the pending tallies to :attr:`counters`.
 
-        Integral tallies (access/read/write/row-class/byte counts) are
-        added in one shot — ``n`` repeated ``+1`` float additions equal
-        a single ``+n`` exactly for any count below 2**53.  Bus
-        occupancy is ``n`` repeats of the constant per-burst time,
-        flushed as ``n`` sequential additions (:meth:`CounterSet
-        .add_repeat`) because repeated float addition of a constant is
-        *not* equivalent to one multiply-add.
+        Integral tallies (access/read/write/row-class/byte/transfer
+        counts) are added in one shot: integral float additions below
+        2**53 land on the same value in any order.  Bus occupancy is a
+        float sum whose order matters (repeated addition of a constant
+        is *not* one multiply-add), so it makes the scalar loop's
+        additions in its order: each deferred transfer folds the demand
+        bursts pending before it, then its own time, into a running
+        total seeded from the live counter; the flush folds the bursts
+        since the last transfer and writes the total back.
+
+        Between flushes the device's counters hold an earlier state, so
+        this is exact only because nothing reads them there: the chunked
+        kernel flushes before ``counters.reset()`` and at the end of the
+        run, epoch samples read the live ``swap.swaps`` (never
+        deferred), power and utilisation are read after the run, and
+        :meth:`utilisation` flushes first.
         """
-        n = self._pending_accesses
-        if not n:
+        reads, writes = self._pending_reads, self._pending_writes
+        transfers = self._pending_transfers
+        if not (reads or writes or transfers):
             return
         counters = self.counters
-        counters.add(self._name_accesses, n)
-        counters.add(self._name_bytes, n * CACHELINE_BYTES)
-        if self._pending_reads:
-            counters.add(self._name_reads, self._pending_reads)
-        if self._pending_writes:
-            counters.add(self._name_writes, self._pending_writes)
-        if self._pending_row_hit:
-            counters.add(self._name_row_hit, self._pending_row_hit)
-        if self._pending_row_miss:
-            counters.add(self._name_row_miss, self._pending_row_miss)
-        if self._pending_row_conflict:
-            counters.add(self._name_row_conflict, self._pending_row_conflict)
-        counters.add_repeat(self._name_busy, self._burst_ns, n)
-        self._pending_accesses = 0
-        self._pending_reads = 0
-        self._pending_writes = 0
-        self._pending_row_hit = 0
-        self._pending_row_miss = 0
-        self._pending_row_conflict = 0
+        accesses = reads + writes
+        transfer_bytes = self._pending_transfer_bytes
+        for name, count in (
+            (self._name_accesses, accesses),
+            (self._name_reads, reads),
+            (self._name_writes, writes),
+            (self._name_transfers, transfers),
+            (self._name_transfer_bytes, transfer_bytes),
+            (self._name_bytes, accesses * CACHELINE_BYTES + transfer_bytes),
+            *zip(self._name_rows, self._pending_rows),
+        ):
+            if count:
+                counters.add(name, count)
+        name, burst, n = self._name_busy, self._burst_ns, self._pending_bursts
+        if self._busy_total is None:
+            counters.add_repeat(name, burst, n)
+        else:
+            counters[name] = fold_repeat(self._busy_total, burst, n)
+        self._pending_reads = self._pending_writes = 0
+        self._pending_rows = [0, 0, 0]
+        self._pending_transfers = self._pending_transfer_bytes = 0
+        self._pending_bursts = 0
+        self._busy_total = None
 
     def end_deferred_stats(self) -> None:
         """Flush and return to per-access counter updates."""
@@ -318,5 +337,6 @@ class DramDevice:
         """Fraction of elapsed time the device's buses were busy."""
         if elapsed_ns <= 0:
             return 0.0
-        busy = self.counters[f"{self._scope}.busy_ns"]
+        self.flush_deferred_stats()
+        busy = self.counters[self._name_busy]
         return min(1.0, busy / (elapsed_ns * self.config.channels))

@@ -17,8 +17,8 @@ import numpy as np
 #: Version of the :meth:`CounterSet.to_dict` wire format.
 COUNTERS_SCHEMA_VERSION = 1
 
-#: :meth:`CounterSet.add_repeat` folds counts below this in a Python
-#: loop, larger ones with :func:`fold_sum` (equal cost, ~3 us, at 128).
+#: :func:`fold_repeat` folds counts below this in a Python loop, larger
+#: ones with :func:`fold_sum` (equal cost, ~3 us, at 128).
 _LOOP_MAX_REPEATS = 128
 
 def fold_sum(start: float, values: Sequence[float]) -> float:
@@ -32,6 +32,16 @@ def fold_sum(start: float, values: Sequence[float]) -> float:
     terms[0] = start
     terms[1:] = values
     return float(np.add.accumulate(terms)[-1])
+
+
+def fold_repeat(start: float, amount: float, count: int) -> float:
+    """``start`` plus ``count`` sequential additions of ``amount`` (a
+    ``+=`` loop, or the same additions through :func:`fold_sum`)."""
+    if count < _LOOP_MAX_REPEATS:
+        for _ in range(count):
+            start += amount
+        return start
+    return fold_sum(start, np.full(count, amount, dtype=np.float64))
 
 
 class CounterSet:
@@ -80,16 +90,14 @@ class CounterSet:
             raise ValueError(f"counter increments must be >= 0, got {amount}")
         if count < 0:
             raise ValueError(f"repeat count must be >= 0, got {count}")
-        total = self._counts[name]
-        if count < _LOOP_MAX_REPEATS:
-            for _ in range(count):  # the additions ``fold_sum`` makes
-                total += amount
-        else:
-            total = fold_sum(total, np.full(count, amount, dtype=np.float64))
-        self._counts[name] = total
+        self._counts[name] = fold_repeat(self._counts[name], amount, count)
 
     def __getitem__(self, name: str) -> float:
         return self._counts.get(name, 0.0)
+
+    def __setitem__(self, name: str, value: float) -> None:
+        """Store a running total seeded from ``self[name]``."""
+        self._counts[name] = value
 
     def __contains__(self, name: str) -> bool:
         return name in self._counts

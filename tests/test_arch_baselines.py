@@ -143,6 +143,20 @@ class TestPoM:
             pom.access(address, i * 1e5)
         assert pom.swap_count >= 1
 
+    def test_swap_rejects_out_of_range_group_and_local(self, config):
+        # The swap keeps ``segment_at``'s range errors and raises them
+        # before any transfer or remap.
+        pom = PoMArchitecture(config)
+        state = pom.group_state(0)
+        groups = pom.geometry.num_groups
+        with pytest.raises(ValueError, match=f"group {groups} out of range"):
+            pom._swap_with_fast(groups, state, 1, 0.0)
+        with pytest.raises(ValueError, match="local id -1 out of range"):
+            pom._swap_with_fast(0, state, -1, 0.0)
+        assert state.is_identity()
+        assert pom.swap_count == 0
+        assert pom.counters["dram.stacked.transfers"] == 0
+
     def test_invalid_threshold(self, config):
         with pytest.raises(ValueError):
             PoMArchitecture(config, swap_threshold=0)

@@ -124,6 +124,16 @@ class TestDramDevice:
         assert counters["dram.stacked.transfers"] == 1
         assert counters["dram.stacked.transfer_bytes"] == 2048
 
+    def test_utilisation_flushes_deferred_tallies(self):
+        live, deferred = make_device(), make_device()
+        deferred.begin_deferred_stats()
+        for device in (live, deferred):
+            device.access(0, 0.0)
+            device.transfer(4096, 2048, 10.0)
+            device.access(64, 20.0, is_write=True)
+        assert deferred.utilisation(1000.0) == live.utilisation(1000.0) > 0
+        assert deferred.counters == live.counters
+
     def test_row_hit_rate_reporting(self):
         counters = CounterSet()
         device = DramDevice(stacked_dram(4 * MB), counters)
@@ -257,7 +267,8 @@ class _ReferenceDevice:
 
 class TestTransferMatchesReference:
     """``DramDevice`` (fused row step, memoised stream cost, deferred
-    demand tallies) against :class:`_ReferenceDevice`, exactly."""
+    demand and transfer tallies) against :class:`_ReferenceDevice`,
+    exactly."""
 
     @staticmethod
     def _assert_same_state(device, reference):
@@ -271,25 +282,27 @@ class TestTransferMatchesReference:
     #: start this large makes the order of the float additions show.
     BUSY_STARTS = [0.0, 2.0**51]
 
-    @pytest.mark.parametrize("busy_start", BUSY_STARTS)
-    @pytest.mark.parametrize("deferred", [False, True])
-    @pytest.mark.parametrize("fast", [True, False])
-    @pytest.mark.parametrize("seed", range(4))
-    def test_interleaved_accesses_and_transfers(
-        self, seed, fast, deferred, busy_start
-    ):
+    def _drive(self, seed, fast, busy_start, flush):
+        """Interleave 600 accesses and transfers on both sides.
+
+        ``flush`` is ``"live"`` (no deferral: counters agree after
+        every event), ``"random"`` (deferred, flushed at seeded-random
+        points, where the counters must agree) or ``"end"`` (deferred,
+        flushed only at the end).  Deferred counters are not compared
+        between flushes: they are not published there.
+        """
         config = stacked_dram(4 * MB) if fast else offchip_dram(4 * MB)
         busy = {f"dram.{config.name}.busy_ns": busy_start}
         device = DramDevice(config, CounterSet(busy))
         reference = _ReferenceDevice(config, CounterSet(busy))
-        if deferred:
+        if flush != "live":
             device.begin_deferred_stats()
         rng = random.Random(seed)
         # A few hot rows per bank, so hits, misses and conflicts all
         # occur, on both sides of transfers that hold the buses.
         rows = [rng.randrange(config.capacity_bytes // 4096) for _ in range(6)]
         clock_ns = 0.0
-        transfers = 0
+        transfers = flushes = 0
         for _ in range(600):
             clock_ns += rng.choice([0.0, 0.0, 1.5, 7.0, 40.0, 300.0])
             # Swaps issue their second leg later than the demand clock.
@@ -303,23 +316,40 @@ class TestTransferMatchesReference:
                     address, num_bytes, now_ns
                 ) == reference.transfer(address, num_bytes, now_ns)
                 transfers += 1
-                # Deferred demand tallies are folded before the
-                # transfer's own additions, so the counters agree here.
-                assert device.counters == reference.counters
             else:
                 address = rng.choice(rows) * 4096 + rng.randrange(0, 4096, 64)
                 is_write = rng.random() < 0.4
                 assert device.access(
                     address, now_ns, is_write
                 ) == reference.access(address, now_ns, is_write)
-                if not deferred:
-                    assert device.counters == reference.counters
+            if flush == "live":
+                assert device.counters == reference.counters
+            elif flush == "random" and rng.random() < 0.05:
+                device.flush_deferred_stats()
+                flushes += 1
+                assert device.counters == reference.counters
             self._assert_same_state(device, reference)
         device.end_deferred_stats()
         assert transfers > 100
+        assert flushes > 10 or flush != "random"
         assert device.counters == reference.counters
         for kind in ("hit", "miss", "conflict"):
             assert device.counters[f"dram.{config.name}.row_{kind}"] > 0
+
+    @pytest.mark.parametrize("busy_start", BUSY_STARTS)
+    @pytest.mark.parametrize("deferred", [False, True])
+    @pytest.mark.parametrize("fast", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_interleaved_accesses_and_transfers(
+        self, seed, fast, deferred, busy_start
+    ):
+        self._drive(seed, fast, busy_start, "random" if deferred else "live")
+
+    @pytest.mark.parametrize("busy_start", BUSY_STARTS)
+    @pytest.mark.parametrize("fast", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_deferred_until_the_end(self, seed, fast, busy_start):
+        self._drive(seed, fast, busy_start, "end")
 
     @pytest.mark.parametrize("address", [-64, -1, 4 * MB, 4 * MB + 2048])
     def test_out_of_range_transfer_raises_like_map_address(self, address):
@@ -332,3 +362,154 @@ class TestTransferMatchesReference:
             f"address {address:#x} outside stacked device "
             f"(capacity {4 * MB:#x})"
         )
+
+
+class _ReferenceStaging(HeterogeneousMemory):
+    """``start_swap``/``start_fill`` in their earlier form: ``max()``
+    for the completion times and one ``_stage`` (stage, then prune past
+    64 entries) per segment."""
+
+    def start_swap(self, fast_address, slow_address, now_ns,
+                   fast_segment_id, slow_segment_id):
+        seg = self.config.segment_bytes
+        fast_read = self.fast.transfer(fast_address, seg, now_ns)
+        slow_read = self.slow.transfer(slow_address, seg, now_ns)
+        read_done = max(fast_read, slow_read)
+        fast_done = self.fast.transfer(fast_address, seg, read_done)
+        slow_done = self.slow.transfer(slow_address, seg, read_done)
+        completes = max(fast_done, slow_done)
+        self._stage(fast_segment_id, completes)
+        self._stage(slow_segment_id, completes)
+        self.counters.add("swap.swaps")
+        self.counters.add("swap.bytes", 4 * seg)
+        return completes
+
+    def start_fill(self, fast_address, slow_address, now_ns,
+                   slow_segment_id, writeback=False):
+        seg = self.config.segment_bytes
+        start = now_ns
+        if writeback:
+            wb_fast = self.fast.transfer(fast_address, seg, start)
+            wb_slow = self.slow.transfer(slow_address, seg, start)
+            start = max(wb_fast, wb_slow)
+            self.counters.add("swap.writebacks")
+            self.counters.add("swap.bytes", 2 * seg)
+        slow_done = self.slow.transfer(slow_address, seg, start)
+        fast_done = self.fast.transfer(fast_address, seg, start)
+        completes = max(slow_done, fast_done)
+        self._stage(slow_segment_id, completes)
+        self.counters.add("swap.fills")
+        self.counters.add("swap.bytes", 2 * seg)
+        return completes
+
+    def _stage(self, segment_id, completes_ns):
+        buffers = self._buffers
+        buffers[segment_id] = completes_ns
+        if len(buffers) > 64:
+            expired = [
+                sid
+                for sid, done_ns in buffers.items()
+                if done_ns <= completes_ns - 1.0
+            ]
+            for sid in expired:
+                del buffers[sid]
+
+
+class TestStagingMatchesReference:
+    """Swap/fill staging and its bounded prune against
+    :class:`_ReferenceStaging`, exactly: return values, the buffer map
+    and every counter.  The prune rule (drop ``done <= completes - 1``,
+    where ``completes`` is the new transfer's) is pinned as it is."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_swaps_and_fills(self, seed):
+        config = scaled_config()
+        memory = HeterogeneousMemory(config)
+        reference = _ReferenceStaging(config)
+        sides = (memory, reference)
+        rng = random.Random(seed)
+        seg = config.segment_bytes
+        fast_segments = config.fast_mem.capacity_bytes // seg
+        slow_segments = config.slow_mem.capacity_bytes // seg
+        clock_ns = 0.0
+        pruned = kept = 0
+        for step in range(1500):
+            clock_ns += rng.choice([0.0, 3.0, 20.0, 150.0, 2000.0])
+            now_ns = clock_ns + rng.choice([0.0, 0.0, 60.0])
+            before = dict(memory._buffers)
+            kind = rng.random()
+            if kind < 0.05:
+                # Entries still in flight far ahead, so prunes also
+                # keep something besides the segments just staged.
+                sid, done = rng.randrange(500, 520), now_ns + 1e7
+                for side in sides:
+                    side._buffers[sid] = done
+                continue
+            if kind < 0.35:
+                in_fast = rng.random() < 0.5
+                address = rng.randrange(
+                    (fast_segments if in_fast else slow_segments) * seg
+                ) // 64 * 64
+                sid = rng.randrange(300)
+                is_write = rng.random() < 0.3
+                results = [
+                    side.access(in_fast, address, now_ns, is_write, sid)
+                    for side in sides
+                ]
+            else:
+                fast_address = rng.randrange(fast_segments) * seg
+                slow_address = rng.randrange(slow_segments) * seg
+                staged = [rng.randrange(300), rng.randrange(300)]
+                if kind < 0.7:
+                    results = [
+                        side.start_swap(
+                            fast_address, slow_address, now_ns, *staged
+                        )
+                        for side in sides
+                    ]
+                else:
+                    writeback = rng.random() < 0.5
+                    staged = staged[1:]
+                    results = [
+                        side.start_fill(
+                            fast_address, slow_address, now_ns,
+                            staged[0], writeback=writeback,
+                        )
+                        for side in sides
+                    ]
+                survivors = set(before) - set(staged)
+                if not survivors <= set(memory._buffers):
+                    pruned += 1
+                    kept += bool(survivors & set(memory._buffers))
+            assert results[0] == results[1]
+            assert memory._buffers == reference._buffers
+            assert memory.counters == reference.counters
+        assert pruned > 20 and kept > 5
+        assert memory.counters["swap.buffer_hits"] > 0
+        assert memory.counters["swap.writebacks"] > 0
+
+    @pytest.mark.parametrize("op", ["swap", "fill", "dirty fill"])
+    def test_prune_boundary(self, op):
+        # 64 staged entries around the completion time ``c`` of the
+        # next transfer: the prune that its staging triggers drops
+        # exactly those with ``done <= c - 1``.
+        config = scaled_config()
+
+        def run(memory):
+            if op == "swap":
+                return memory.start_swap(0, 0, 100.0, 1, 2)
+            return memory.start_fill(
+                0, 0, 100.0, 2, writeback=op == "dirty fill"
+            )
+
+        c = run(HeterogeneousMemory(config))
+        offsets = [-3.0, -1.5, -1.0, -0.5, 0.0, 0.5] * 10 + [-1.0, 0.0, 0.5, 9.0]
+        staged = {100 + i: c + d for i, d in enumerate(offsets)}
+        results = []
+        for memory in (HeterogeneousMemory(config), _ReferenceStaging(config)):
+            memory._buffers = dict(staged)
+            assert run(memory) == c
+            results.append(memory._buffers)
+        expected = {sid: done for sid, done in staged.items() if done > c - 1.0}
+        expected.update({sid: c for sid in ([1, 2] if op == "swap" else [2])})
+        assert results[0] == results[1] == expected

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import build_design
 from repro.config import scaled_config
 from repro.arch.remap import GroupState, Mode, SegmentGeometry
 
@@ -146,3 +147,66 @@ class TestGroupState:
             state.swap_slots(a, b)
         state.validate()
         assert sorted(state.seg_at) == list(range(6))
+
+
+class TestBootTemplate:
+    """First touches clone one validated boot ``GroupState`` per design
+    instead of constructing and validating a new one."""
+
+    @pytest.mark.parametrize("mode", [Mode.POM, Mode.CACHE])
+    def test_clone_equals_a_fresh_state(self, mode):
+        template = GroupState(size=6, mode=mode)
+        clone = template.clone()
+        assert clone == GroupState(size=6, mode=mode)
+        assert clone is not template
+        assert vars(clone) == vars(template)
+
+    def test_groups_share_no_lists(self):
+        arch = build_design("Chameleon", scaled_config())
+        template = arch._boot
+        pristine = GroupState(size=template.size, mode=template.mode)
+        first, second = arch.group_state(0), arch.group_state(1)
+        first.swap_slots(0, 2)
+        first.abv[3] = True
+        first.cached = 2
+        second.seg_at.append(9)
+        assert template == pristine
+        assert arch.group_state(2) == pristine
+        assert second.slot_of == pristine.slot_of
+        assert second.abv == pristine.abv and second.cached is None
+        assert arch.group_state(0) is first
+
+    @pytest.mark.parametrize(
+        "label, mode",
+        [
+            ("PoM", Mode.POM),
+            ("CAMEO", Mode.POM),
+            ("Chameleon", Mode.CACHE),
+            ("Chameleon-Opt", Mode.CACHE),
+            ("Polymorphic", Mode.CACHE),
+        ],
+    )
+    def test_designs_boot_through_the_template(self, label, mode, monkeypatch):
+        arch = build_design(label, scaled_config())
+        size = arch.geometry.segments_per_group
+        assert arch._boot == GroupState(size=size, mode=mode)
+
+        def constructed(state):
+            raise AssertionError("a first touch built a GroupState")
+
+        # Any construction validates; a clone does not.
+        monkeypatch.setattr(GroupState, "validate", constructed)
+        state = arch.group_state(3)
+        arch.access(arch.geometry.segment_bytes * 5 + 8, 0.0)
+        monkeypatch.undo()
+        assert state == GroupState(size=size, mode=mode)
+        assert state is not arch._boot
+        assert 5 in arch._groups
+
+    def test_supplied_states_are_still_validated(self):
+        with pytest.raises(AssertionError, match="permutation"):
+            GroupState(size=3, seg_at=[0, 0, 2], slot_of=[0, 1, 2])
+        with pytest.raises(AssertionError, match="invert"):
+            GroupState(size=3, seg_at=[1, 0, 2], slot_of=[0, 1, 2])
+        with pytest.raises(AssertionError, match="cached"):
+            GroupState(size=3, mode=Mode.POM, cached=1)
