@@ -12,7 +12,7 @@ spelling per concept and keyword-only configuration arguments:
 * :func:`simulate` — one (design, workload) cell, accepting either
   registry labels / benchmark names or pre-built objects;
 * :func:`sweep` — a full design × workload grid through the
-  fault-tolerant parallel runtime (shared-memory trace arena, result
+  fault-tolerant parallel runtime (precompiled trace arena, result
   cache, checkpoint journal), returning a :class:`SweepOutcome`;
 * :class:`ServeClient` / :class:`SimRequest` / :class:`SweepRequest` —
   talk to a running ``repro.serve`` simulation service (see
@@ -306,8 +306,9 @@ def sweep(
     serial execution, no persistent cache.  ``jobs>1`` fans out over
     supervised worker processes (results are bit-identical at any
     worker count); ``cache_dir`` enables the content-addressed disk
-    cache; ``arena`` shares precompiled traces with workers over
-    shared memory (automatic fallback when unavailable); ``timeout``
+    cache; ``arena`` compiles each workload's trace once per sweep and
+    shares it with every cell (``arena_budget`` bounds its bytes;
+    over-budget grids regenerate per cell); ``timeout``
     (seconds per cell) and ``retries`` (re-dispatches before a cell is
     abandoned) tune the runtime's fault tolerance — ``None`` keeps the
     runtime defaults.

@@ -2,10 +2,11 @@
 
 The codebase has many ways to produce one
 :class:`~repro.sim.SimulationResult`: the scalar reference loop, the
-chunked fast kernel (with or without its pager), arena-attached worker
-processes, inline serial execution, warm :class:`ResultCache` replays,
-and the :mod:`repro.serve` round trip.  The paper's claims rest on all
-of them being *the same simulation*; :func:`run_execution_paths` runs
+chunked fast kernel (with or without its pager), worker processes
+replaying the parent's published trace arena, inline serial execution,
+warm :class:`ResultCache` replays, and the :mod:`repro.serve` round
+trip.  The paper's claims rest on all of them being *the same
+simulation*; :func:`run_execution_paths` runs
 every applicable one for a cell and reduces each to canonical digests,
 and :func:`run_invariants` adds metamorphic properties no single path
 can check against itself (seed determinism, telemetry transparency,
@@ -137,7 +138,7 @@ def run_execution_paths(
 
     Always: the forced-scalar reference, the auto-selected kernel (when
     it differs), and the inline serial executor without an arena.  With
-    ``pool``: a 2-worker process pool with the shared-memory arena.
+    ``pool``: a 2-worker process pool replaying the trace arena.
     A cold-then-warm :class:`ResultCache` pair runs in ``scratch_dir``
     (or a temporary directory).  With ``serve``: a full
     :mod:`repro.serve` HTTP round trip on an ephemeral port.
@@ -173,7 +174,7 @@ def run_execution_paths(
         PathResult(PATH_SERIAL, result_digest(result), events_digest(events))
     )
 
-    # 4. Worker processes attaching the shared-memory trace arena.
+    # 4. Worker processes replaying the inherited trace arena.
     if pool:
         result, events, _ = _executor_path(
             scale, design, workload, jobs=2, arena=True

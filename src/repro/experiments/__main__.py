@@ -25,10 +25,11 @@ Sweep execution goes through :mod:`repro.runtime`:
 ``--progress``
     Print one stderr line per completed sweep cell.
 ``--arena`` / ``--no-arena``
-    Publish the workload grid's precompiled traces once into a
-    shared-memory arena that every worker attaches zero-copy (default
-    on; results are bit-identical either way — the ``[runtime]``
-    trailer's ``arena-bytes=``/``arena-hits=`` fields show it working).
+    Compile the workload grid's traces once per sweep into an arena
+    that every cell replays, pooled workers from the memory they
+    inherit (default on; results are bit-identical either way — the
+    ``[runtime]`` trailer's ``arena-bytes=``/``arena-hits=`` fields
+    show it working).
 
 Fault tolerance (see docs/RUNTIME.md):
 
@@ -284,8 +285,8 @@ def main(argv: list[str] | None = None) -> int:
         action=argparse.BooleanOptionalAction,
         default=True,
         help=(
-            "publish a shared-memory trace arena so sweep workers "
-            "attach precompiled traces instead of regenerating them "
+            "compile each sweep's traces once into an arena that every "
+            "cell replays instead of regenerating its trace "
             "(results are identical either way; --no-arena disables)"
         ),
     )

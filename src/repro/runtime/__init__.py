@@ -29,13 +29,8 @@ guarantee, retry semantics, and the journal format.
 """
 
 from repro.runtime.arena import (
-    ARENA_BUDGET_ENV,
-    ARENA_PREFIX,
-    ARENA_SCHEMA_VERSION,
-    ArenaView,
     DEFAULT_ARENA_BUDGET,
     TraceArena,
-    arena_budget,
     arena_key,
     attach_arena,
 )
@@ -72,10 +67,6 @@ from repro.runtime.metrics import (
 )
 
 __all__ = [
-    "ARENA_BUDGET_ENV",
-    "ARENA_PREFIX",
-    "ARENA_SCHEMA_VERSION",
-    "ArenaView",
     "CacheStats",
     "CellStat",
     "DEFAULT_ARENA_BUDGET",
@@ -100,7 +91,6 @@ __all__ = [
     "TraceArena",
     "WorkerCrashError",
     "apply_fault",
-    "arena_budget",
     "arena_key",
     "attach_arena",
     "corrupt_cache_entry",

@@ -13,9 +13,8 @@ format addresses a different entry — stale results are never returned,
 they are simply orphaned (and reclaimable with ``cache clear``).
 
 Entries are one JSON file each, sharded by digest prefix
-(``<root>/ab/abcdef....json``).  An optional ``max_entries`` bound
-evicts least-recently-used entries (by file mtime; hits refresh it).
-All traffic is counted in :class:`CacheStats`.
+(``<root>/ab/abcdef....json``).  The cache is unbounded; ``cache
+clear`` prunes it.  All traffic is counted in :class:`CacheStats`.
 """
 
 from __future__ import annotations
@@ -69,13 +68,11 @@ class ResultCache:
         root: Path | str | None = None,
         *,
         version: str | None = None,
-        max_entries: Optional[int] = None,
     ) -> None:
         if version is None:
             from repro import __version__ as version
         self.root = Path(root) if root is not None else default_cache_dir()
         self.version = version
-        self.max_entries = max_entries
         self.stats = CacheStats()
 
     # -- keying --------------------------------------------------------
@@ -151,7 +148,6 @@ class ResultCache:
             self.stats.evictions += 1
             self.stats.misses += 1
             return None
-        os.utime(path)  # refresh LRU position
         self.stats.hits += 1
         return result
 
@@ -162,7 +158,7 @@ class ResultCache:
         workload: str,
         result: SimulationResult,
     ) -> Path:
-        """Persist ``result``; evicts LRU entries past ``max_entries``.
+        """Persist ``result``.
 
         Safe under concurrent writers: each writer stages into its own
         uniquely-named temp file and publishes with :func:`os.replace`,
@@ -186,23 +182,7 @@ class ResultCache:
         finally:
             tmp.unlink(missing_ok=True)  # only if the replace never ran
         self.stats.stores += 1
-        if self.max_entries is not None:
-            self._evict(keep=path)
         return path
-
-    def _evict(self, keep: Path) -> None:
-        entries = sorted(
-            self._entries(), key=lambda p: p.stat().st_mtime
-        )
-        excess = len(entries) - self.max_entries
-        for path in entries:
-            if excess <= 0:
-                break
-            if path == keep:
-                continue
-            path.unlink(missing_ok=True)
-            self.stats.evictions += 1
-            excess -= 1
 
     # -- maintenance ---------------------------------------------------
 

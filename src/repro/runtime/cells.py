@@ -6,7 +6,10 @@ and is deterministic: the workload is synthesised from
 cell in a worker process is bit-identical to running it inline.  Design
 factories are closures and do not pickle, so workers receive only the
 *label* and re-resolve it against the design registry on their side of
-the fork.
+the fork.  Workload traces do not cross the pipe either: the parent
+publishes them in a :class:`~repro.runtime.arena.TraceArena` before it
+forks the pool, so a worker finds them in the memory it inherited and
+receives only the arena's small manifest.
 
 Telemetry rides along the same boundary: a worker cannot share the
 parent's :class:`~repro.telemetry.EventBus`, so ``timed_cell`` captures
@@ -49,10 +52,10 @@ def simulate_cell(
     architecture (on ``telemetry``, or on a private bus when none is
     given), raising :class:`~repro.telemetry.InvariantViolation` the
     moment an SRRT invariant breaks.  ``trace`` replays a precompiled
-    trace (e.g. attached from a shared-memory arena) instead of
-    regenerating — byte-identical either way.  ``kernel`` forces a
-    replay kernel (the conformance oracle in :mod:`repro.check` pins
-    each path explicitly); the default follows
+    trace (e.g. one a :class:`~repro.runtime.arena.TraceArena`
+    published) instead of regenerating — byte-identical either way.
+    ``kernel`` forces a replay kernel (the conformance oracle in
+    :mod:`repro.check` pins each path explicitly); the default follows
     :func:`repro.sim.select_kernel`.
     """
     from repro.experiments.designs import REGISTRY
@@ -102,63 +105,49 @@ def timed_cell(
     result, and the retried attempt carries no fault.
 
     ``arena`` is a :class:`~repro.runtime.arena.TraceArena` manifest;
-    when present the cell attaches read-only views over the shared
-    trace segment and replays instead of regenerating.  A failed attach
-    (segment gone, stale manifest) silently falls back to generation —
-    the records are byte-identical either way.
+    when present the cell replays the compiled trace the parent
+    published (a forked worker inherits it) instead of regenerating.
+    A failed attach (arena disposed, or a worker that did not inherit
+    it) silently falls back to generation — the records are
+    byte-identical either way.
     """
     scale, design, workload, capture, audit, fault, hang_seconds, arena = args
     if fault is not None:
         apply_fault(fault, serial=False, hang_seconds=hang_seconds)
-    view = None
     trace: Optional[CompiledTrace] = None
     if arena is not None:
         try:
-            view = attach_arena(arena)
-            trace = view.trace(workload)
-        except (OSError, KeyError, ValueError):
-            view = None
+            trace = attach_arena(arena)[workload]
+        except (OSError, KeyError):
             trace = None
-    try:
-        start = time.perf_counter()
-        if capture or audit:
-            bus = EventBus()
-            log = bus.subscribe(EventLog())
-            if capture and trace is not None:
-                bus.emit(
-                    ArenaEvent(
-                        0.0,
-                        action="attach",
-                        segment=str(arena["segment"]),
-                        bytes=int(arena["bytes"]),
-                        workloads=1,
-                    )
-                )
-            result = simulate_cell(
-                scale, design, workload, telemetry=bus, audit=audit,
-                trace=trace,
-            )
-            if capture and trace is not None:
-                bus.emit(
-                    ArenaEvent(
-                        0.0,
-                        action="detach",
-                        segment=str(arena["segment"]),
-                        bytes=int(arena["bytes"]),
-                        workloads=1,
-                    )
-                )
-            events = (
-                [event.to_dict() for event in log.events] if capture else []
-            )
-        else:
-            result = simulate_cell(scale, design, workload, trace=trace)
-            events = []
-        return design, workload, time.perf_counter() - start, result, events
-    finally:
-        if view is not None:
-            trace = None
-            view.close()
+    start = time.perf_counter()
+    if capture or audit:
+        bus = EventBus()
+        log = bus.subscribe(EventLog())
+        marked = capture and trace is not None
+        if marked:
+            bus.emit(_arena_event("attach", arena))
+        result = simulate_cell(
+            scale, design, workload, telemetry=bus, audit=audit,
+            trace=trace,
+        )
+        if marked:
+            bus.emit(_arena_event("detach", arena))
+        events = [event.to_dict() for event in log.events] if capture else []
+    else:
+        result = simulate_cell(scale, design, workload, trace=trace)
+        events = []
+    return design, workload, time.perf_counter() - start, result, events
+
+
+def _arena_event(action: str, manifest: Dict) -> ArenaEvent:
+    return ArenaEvent(
+        0.0,
+        action=action,
+        segment=str(manifest["handle"]),
+        bytes=int(manifest["bytes"]),
+        workloads=1,
+    )
 
 
 __all__ = ["simulate_cell", "timed_cell"]

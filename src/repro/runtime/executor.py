@@ -33,11 +33,12 @@ Fault tolerance (see docs/RUNTIME.md):
   :class:`~repro.runtime.faults.FaultPlan` (or ``$REPRO_FAULTS``)
   injects crashes/hangs/transient errors into workers and corruption
   into the cache, keeping the whole tolerance surface under test;
-* **shared-memory trace arena** — each sweep's workload traces are
-  compiled once by the parent and published read-only via
-  :class:`~repro.runtime.arena.TraceArena`; workers attach zero-copy
-  instead of regenerating (``arena=False`` or an over-budget grid
-  falls back to per-cell generation, byte-identically).
+* **trace arena** — each sweep's workload traces are compiled once
+  by the parent and published read-only via
+  :class:`~repro.runtime.arena.TraceArena` before the pool is forked,
+  so workers replay them from inherited memory instead of
+  regenerating (``arena=False`` or an over-budget grid falls back to
+  per-cell generation, byte-identically).
 
 The module-level default executor (serial, no disk cache) is what
 :func:`repro.experiments.runner.run_design_sweep` uses when not handed
@@ -234,9 +235,9 @@ class SweepExecutor:
         self.journal_dir = (
             Path(journal_dir) if journal_dir is not None else None
         )
-        #: Publish a shared-memory trace arena per sweep (fall back to
-        #: per-cell generation when shared memory is unavailable or the
-        #: payload exceeds ``arena_budget`` bytes).
+        #: Publish a trace arena per sweep (fall back to per-cell
+        #: generation when the estimated payload exceeds
+        #: ``arena_budget`` bytes).
         self.arena = arena
         self.arena_budget = arena_budget
         self.metrics = SweepMetrics(jobs=jobs)
@@ -365,6 +366,8 @@ class SweepExecutor:
                 for design, _ in pending:
                     self.metrics.record_kernel(decisions[design])
 
+            # Publish before _execute forks the pool: workers inherit
+            # the compiled traces with the parent's memory.
             if self.arena and pending:
                 arena = TraceArena.publish(
                     scale,
@@ -400,9 +403,9 @@ class SweepExecutor:
                 journal.close()
             raise
         finally:
-            # The publisher owns the segment: unlink on every exit path
-            # (completion, failure, interrupt) so /dev/shm never leaks —
-            # even when workers were killed mid-attach.
+            # The publisher owns the arena: drop it on every exit path
+            # (completion, failure, interrupt) so no trace set outlives
+            # its sweep.
             if arena is not None:
                 arena.dispose()
 

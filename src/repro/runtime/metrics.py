@@ -54,7 +54,7 @@ class SweepMetrics:
     retries: int = 0
     #: The executor gave up on its worker pool and finished serially.
     degraded: bool = False
-    #: Shared-memory trace-arena accounting: payload bytes published
+    #: Trace-arena accounting: payload bytes published
     #: (across sweeps) and cells dispatched with an arena available.
     arena_bytes: int = 0
     arena_hits: int = 0

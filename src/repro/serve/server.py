@@ -85,7 +85,6 @@ class SimServer:
         timeout: Optional[float] = None,
         retries: Optional[int] = None,
         arena: bool = True,
-        arena_budget: Optional[int] = None,
         telemetry: Optional[EventBus] = None,
     ) -> None:
         self.host = host
@@ -113,7 +112,6 @@ class SimServer:
             timeout=timeout,
             retries=retries,
             arena=arena,
-            arena_budget=arena_budget,
         )
         self.scheduler = Scheduler(
             cache,

@@ -149,25 +149,22 @@ class JobRetryEvent(TelemetryEvent):
     reason: str
 
 
-#: ``ArenaEvent.action`` values.
+#: ``ArenaEvent.action`` values, in the order a cell emits them.
 ARENA_ACTIONS = (
-    "publish",   # parent exported the compiled traces to shared memory
-    "attach",    # a cell attached read-only views over the segment
-    "detach",    # the cell released its attachment
-    "unlink",    # parent destroyed the segment at end of sweep
+    "attach",    # the cell found its compiled trace in the arena
+    "detach",    # the cell finished replaying it
 )
 
 
 @dataclass(frozen=True)
 class ArenaEvent(TelemetryEvent):
-    """Shared-memory trace-arena lifecycle (host-side, ``time_ns`` 0).
+    """Trace-arena use by one cell (host-side, ``time_ns`` 0).
 
-    The parent emits ``publish``/``unlink`` around a sweep; each
-    simulated cell that replays from the arena emits ``attach`` and
-    ``detach`` into its captured stream.  ``action`` is one of
-    :data:`ARENA_ACTIONS`; ``bytes`` is the segment payload size and
-    ``workloads`` the number of compiled traces it holds (1 for
-    cell-side events).
+    Each simulated cell that replays from the arena emits ``attach``
+    before and ``detach`` after its simulation, into its captured
+    stream.  ``action`` is one of :data:`ARENA_ACTIONS`; ``segment`` is
+    the arena handle, ``bytes`` the arena's payload size and
+    ``workloads`` the number of compiled traces the cell used (1).
     """
 
     kind: ClassVar[str] = "arena"

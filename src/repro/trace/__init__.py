@@ -9,7 +9,7 @@ and replayed from disk (:mod:`repro.trace.io`), and interleaved across
 cores (:func:`repro.trace.streams.interleave`).
 """
 
-from repro.trace.batch import BUFFER_ALIGNMENT, RecordBatch, align_offset
+from repro.trace.batch import RecordBatch
 from repro.trace.records import AccessRecord
 from repro.trace.io import read_trace, write_trace
 from repro.trace.streams import (
@@ -20,9 +20,7 @@ from repro.trace.streams import (
 
 __all__ = [
     "AccessRecord",
-    "BUFFER_ALIGNMENT",
     "RecordBatch",
-    "align_offset",
     "read_trace",
     "write_trace",
     "interleave",

@@ -12,20 +12,11 @@ scalar iterator protocol for everything else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.trace.records import AccessRecord
-
-#: Byte alignment of every column placed in an exported buffer.
-BUFFER_ALIGNMENT = 8
-
-
-def align_offset(offset: int) -> int:
-    """Round ``offset`` up to the next :data:`BUFFER_ALIGNMENT` boundary."""
-    return -(-offset // BUFFER_ALIGNMENT) * BUFFER_ALIGNMENT
-
 
 @dataclass(frozen=True)
 class RecordBatch:
@@ -82,11 +73,9 @@ class RecordBatch:
             ),
         )
 
-    # -- buffer export/attach (shared-memory arena) --------------------
-
     @property
     def nbytes(self) -> int:
-        """Raw column payload size (excluding alignment padding)."""
+        """Raw column payload size."""
         return int(
             self.addresses.nbytes
             + self.icount_gaps.nbytes
@@ -110,68 +99,4 @@ class RecordBatch:
             addresses=np.concatenate([b.addresses for b in batches]),
             icount_gaps=np.concatenate([b.icount_gaps for b in batches]),
             is_writes=np.concatenate([b.is_writes for b in batches]),
-        )
-
-    @staticmethod
-    def buffer_layout(records: int, offset: int = 0) -> Dict[str, int]:
-        """Column byte offsets for ``records`` rows placed at ``offset``.
-
-        The layout dict is the unit of the arena manifest: it is
-        JSON-safe and is all :meth:`attach` needs to rebuild zero-copy
-        views over an exported buffer.  ``end`` is the aligned offset
-        just past the block.
-        """
-        if records < 0:
-            raise ValueError("records must be non-negative")
-        addresses = align_offset(offset)
-        icount_gaps = addresses + records * 8
-        is_writes = icount_gaps + records * 8
-        return {
-            "records": records,
-            "addresses": addresses,
-            "icount_gaps": icount_gaps,
-            "is_writes": is_writes,
-            "end": align_offset(is_writes + records),
-        }
-
-    def export_into(self, buffer, layout: Dict[str, int]) -> None:
-        """Copy the three columns into ``buffer`` at ``layout``'s
-        offsets (produced by :meth:`buffer_layout` for ``len(self)``
-        rows)."""
-        records = layout["records"]
-        if records != len(self):
-            raise ValueError(
-                f"layout is for {records} records, batch has {len(self)}"
-            )
-        np.frombuffer(
-            buffer, dtype=np.int64, count=records, offset=layout["addresses"]
-        )[:] = self.addresses
-        np.frombuffer(
-            buffer, dtype=np.int64, count=records, offset=layout["icount_gaps"]
-        )[:] = self.icount_gaps
-        np.frombuffer(
-            buffer, dtype=bool, count=records, offset=layout["is_writes"]
-        )[:] = self.is_writes
-
-    @classmethod
-    def attach(
-        cls, buffer, layout: Dict[str, int], writable: bool = False
-    ) -> "RecordBatch":
-        """Zero-copy view over columns previously :meth:`export_into`-ed
-        at ``layout``'s offsets (read-only unless ``writable``)."""
-        records = layout["records"]
-
-        def view(dtype, key: str) -> np.ndarray:
-            array = np.frombuffer(
-                buffer, dtype=dtype, count=records, offset=layout[key]
-            )
-            if not writable:
-                array = array.view()
-                array.flags.writeable = False
-            return array
-
-        return cls(
-            addresses=view(np.int64, "addresses"),
-            icount_gaps=view(np.int64, "icount_gaps"),
-            is_writes=view(bool, "is_writes"),
         )

@@ -17,9 +17,8 @@ def replay_batches(
 
     Inverse of :meth:`RecordBatch.concat`: ``batch_lengths`` records the
     chunk boundaries the generator originally produced, and each yielded
-    chunk is a zero-copy view into ``batch``'s columns — this is how an
-    attached shared-memory arena trace replays without touching the
-    payload.
+    chunk is a zero-copy view into ``batch``'s columns — this is how a
+    published arena trace replays without touching the payload.
     """
     total = int(sum(batch_lengths))
     if total != len(batch):

@@ -2,10 +2,11 @@
 
 :func:`compile_trace` drains a workload's seeded generators once and
 freezes the result as struct-of-arrays columns — the single source of
-truth behind both replay paths: the shared-memory trace arena exports
-these columns for zero-copy reuse across sweep cells, and a cell that
-cannot attach simply regenerates and gets byte-identical records
-(generation is deterministic in ``(spec, placement, seed)``).
+truth behind both replay paths: the trace arena
+(:mod:`repro.runtime.arena`) publishes these columns once per sweep for
+every cell to replay, and a cell that cannot attach simply regenerates
+and gets byte-identical records (generation is deterministic in
+``(spec, placement, seed)``).
 
 The one sharp edge is partial replay: generator RNG plans are sized by
 the *remaining* record count, so the first ``n`` records of a longer
@@ -23,7 +24,7 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from repro.trace.batch import RecordBatch, align_offset
+from repro.trace.batch import RecordBatch
 from repro.trace.records import AccessRecord
 from repro.trace.streams import replay_batches
 
@@ -76,13 +77,8 @@ class CompiledTrace:
 
     @property
     def nbytes(self) -> int:
-        """Aligned payload size: what an arena export of this trace
-        occupies (column blocks plus chunk-boundary arrays)."""
-        total = 0
-        for core in self.cores:
-            total = RecordBatch.buffer_layout(len(core), total)["end"]
-            total = align_offset(total + int(core.batch_lengths.nbytes))
-        return total
+        """Column and chunk-boundary bytes across all cores."""
+        return sum(core.nbytes for core in self.cores)
 
     def _check(self, accesses_per_core: int) -> None:
         if accesses_per_core != self.accesses_per_core:

@@ -35,8 +35,8 @@ class MultiprogramWorkload:
     segments: List[int]
     per_core_segments: List[List[int]] = field(repr=False)
     seed: int = 0
-    #: Optional precompiled trace (e.g. attached from a shared-memory
-    #: arena); when set, ``streams``/``stream_batches`` replay it
+    #: Optional precompiled trace (e.g. one a sweep's trace arena
+    #: published); when set, ``streams``/``stream_batches`` replay it
     #: instead of regenerating — byte-identical either way, since the
     #: trace is compiled from the same seeded generators.
     trace: CompiledTrace | None = field(

@@ -26,7 +26,7 @@ from repro.stats import CounterSet
 from repro.stats.histogram import Histogram
 from repro.telemetry.bus import EventBus
 from repro.telemetry.recorder import EventLog
-from repro.trace.batch import BUFFER_ALIGNMENT, RecordBatch, align_offset
+from repro.trace.batch import RecordBatch
 from repro.trace.records import AccessRecord
 from repro.workloads import benchmark, build_workload
 from tests.conftest import tiny_scale
@@ -167,17 +167,6 @@ class TestRecordBatchProperties:
             for lo, hi in zip(edges, edges[1:])
         ]
         assert_batches_equal(RecordBatch.concat(pieces), batch)
-
-    @given(records=records_strategy, offset=st.integers(0, 64))
-    def test_buffer_export_attach_round_trip(self, records, offset):
-        batch = RecordBatch.from_records(records)
-        layout = RecordBatch.buffer_layout(len(batch), offset)
-        assert layout["addresses"] % BUFFER_ALIGNMENT == 0
-        assert layout["end"] % BUFFER_ALIGNMENT == 0
-        assert layout["end"] >= align_offset(offset) + batch.nbytes
-        buffer = bytearray(layout["end"])
-        batch.export_into(buffer, layout)
-        assert_batches_equal(RecordBatch.attach(buffer, layout), batch)
 
     def test_concat_of_nothing_is_empty(self):
         assert len(RecordBatch.concat([])) == 0

@@ -174,23 +174,6 @@ class TestCorruptionTolerance:
 
 
 class TestEvictionAndMaintenance:
-    def test_lru_eviction_counts(self, tmp_path, result):
-        import dataclasses
-        import os
-
-        cache = ResultCache(tmp_path, max_entries=2)
-        scales = [
-            dataclasses.replace(TINY_SCALE, seed=i) for i in range(3)
-        ]
-        for i, scale in enumerate(scales):
-            path = cache.put(scale, "PoM", "mcf", result)
-            os.utime(path, (1000.0 + i, 1000.0 + i))  # deterministic LRU
-        assert cache.stats.evictions == 1
-        assert cache.info()["entries"] == 2
-        # The oldest entry went; the two recent ones remain.
-        assert cache.get(scales[0], "PoM", "mcf") is None
-        assert cache.get(scales[2], "PoM", "mcf") == result
-
     def test_info_and_clear(self, tmp_path, result):
         cache = ResultCache(tmp_path)
         assert cache.info()["entries"] == 0
