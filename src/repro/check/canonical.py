@@ -20,13 +20,26 @@ and legitimately differ between execution paths (an arena-attached
 worker emits :class:`~repro.telemetry.ArenaEvent`, an inline run does
 not).  :func:`events_digest` excludes them so the digest covers
 exactly the simulation semantics.
+
+:func:`events_digest` does not build each event's dict: per event
+class it compiles (on first sight) a line encoder that writes the
+canonical line from a template of the class's sorted keys.  A value
+is rendered the way the canonical encoder renders it inside a dict:
+ints and finite floats by ``repr`` (exactly what :mod:`json` emits),
+strings by :func:`json.encoder.encode_basestring`, ``True``/``False``/
+``None`` as their JSON literals, anything else (NaN/inf, numpy
+scalars, subclasses) by the shared encoder itself — so every line is
+byte-identical to ``canonical_json_bytes(event.to_dict())``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Iterable, Mapping
+from json.encoder import encode_basestring
+from typing import Any, Callable, Dict, Iterable, List, Optional
+
+from repro.telemetry.events import EVENT_TYPES, TelemetryEvent
 
 #: Event kinds that describe execution machinery rather than simulation
 #: semantics; excluded from :func:`events_digest`.
@@ -56,23 +69,103 @@ def result_digest(result: Any) -> str:
     return payload_digest(data)
 
 
+#: A line encoder: one event's canonical JSON line (no newline), or
+#: ``None`` for an infrastructure event the digest skips.
+LineEncoder = Callable[[Any], Optional[str]]
+
+#: Event type -> its line encoder, filled on first sight.
+_LINE_ENCODERS: Dict[type, LineEncoder] = {}
+
+#: Lines hashed per ``update`` call: bounds the joined buffer, however
+#: long the stream.
+_HASH_CHUNK = 1024
+
+
+def _generic_line(event: Any) -> Optional[str]:
+    """Line encoder for dict-form events and unregistered objects."""
+    data = event.to_dict() if hasattr(event, "to_dict") else event
+    if data.get("kind") in INFRASTRUCTURE_EVENT_KINDS:
+        return None
+    return _ENCODER.encode(data)
+
+
+def _compile_line_encoder(cls: type) -> LineEncoder:
+    """The line encoder of ``cls``: compiled for a registered event
+    class that keeps the base ``to_dict``, generic otherwise (and for
+    the rare infrastructure events, which it skips)."""
+    kind = getattr(cls, "kind", None)
+    if (
+        not isinstance(kind, str)
+        or EVENT_TYPES.get(kind) is not cls
+        or cls.to_dict is not TelemetryEvent.to_dict
+        or kind in INFRASTRUCTURE_EVENT_KINDS
+    ):
+        return _generic_line
+    body: List[str] = ["def line(event):", "    d = event.__dict__"]
+    template: List[str] = []
+    values: List[str] = []
+    for key in sorted(cls.__match_args__ + ("kind",)):
+        if key == "kind":
+            value = _ENCODER.encode(kind).replace("%", "%%")
+        else:
+            value = "%s"
+            var = f"v{len(values)}"
+            values.append(var)
+            body += [
+                f"    {var} = d[{key!r}]",
+                f"    t = type({var})",
+                f"    {var} = (_repr({var}) if t is int else _str({var})"
+                f" if t is str else _repr({var}) if t is float"
+                f" and {var} - {var} == 0.0 else 'true' if {var} is True"
+                f" else 'false' if {var} is False else 'null' if {var}"
+                f" is None else _encode({var}))",
+            ]
+        template.append(f"{_ENCODER.encode(key)}:{value}")
+    line_format = "{" + ",".join(template) + "}"
+    body.append(f"    return {line_format!r} % ({', '.join(values)},)")
+    source = "\n".join(body)
+    namespace: Dict[str, Any] = {}
+    exec(
+        source,
+        {"_repr": repr, "_str": encode_basestring, "_encode": _ENCODER.encode},
+        namespace,
+    )
+    return namespace["line"]
+
+
+def _line_encoder(cls: type) -> LineEncoder:
+    """The (cached) line encoder of event type ``cls``."""
+    encode = _LINE_ENCODERS.get(cls)
+    if encode is None:
+        encode = _LINE_ENCODERS[cls] = _compile_line_encoder(cls)
+    return encode
+
+
 def events_digest(events: Iterable[Any]) -> str:
     """Order-sensitive digest of a telemetry event stream.
 
-    Accepts events or their wire-format dicts;
+    Accepts events or their ``to_dict()`` forms;
     :data:`INFRASTRUCTURE_EVENT_KINDS` are skipped (see module
-    docstring).  An empty stream digests to the SHA-256 of nothing —
-    a stable, comparable value.
+    docstring).  The hashed bytes are each event's
+    :func:`canonical_json_bytes` followed by a newline.  An empty
+    stream digests to the SHA-256 of nothing — a stable, comparable
+    value.
     """
     hasher = hashlib.sha256()
+    encoders = _LINE_ENCODERS
+    lines: List[str] = []
     for event in events:
-        data: Mapping[str, Any] = (
-            event.to_dict() if hasattr(event, "to_dict") else event
-        )
-        if data.get("kind") in INFRASTRUCTURE_EVENT_KINDS:
-            continue
-        hasher.update(canonical_json_bytes(data))
-        hasher.update(b"\n")
+        cls = type(event)
+        line = (encoders.get(cls) or _line_encoder(cls))(event)
+        if line is not None:
+            lines.append(line)
+            if len(lines) == _HASH_CHUNK:
+                lines.append("")
+                hasher.update("\n".join(lines).encode("utf-8"))
+                lines.clear()
+    if lines:
+        lines.append("")
+        hasher.update("\n".join(lines).encode("utf-8"))
     return hasher.hexdigest()
 
 

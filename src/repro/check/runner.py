@@ -82,7 +82,8 @@ def _simulate_sampled(
     scale: Any, cells: Sequence[Cell], jobs: int
 ) -> Tuple[dict, dict]:
     """Run the sampled cells through the sweep runtime with telemetry
-    capture → ``(results, events)`` keyed by cell.
+    capture → ``(results, events digests)`` keyed by cell.  The streams
+    themselves are dropped here, so the deep phase does not hold them.
 
     No result cache: conformance must re-simulate (a warm cache would
     compare the store against itself).  No fault plan: an injected
@@ -96,7 +97,10 @@ def _simulate_sampled(
         arena=True,
     )
     results = executor.run_cells(scale, list(cells))
-    return results, executor.events
+    streams = {
+        cell: events_digest(executor.events.get(cell, [])) for cell in cells
+    }
+    return results, streams
 
 
 def run_check(
@@ -155,7 +159,7 @@ def run_check(
         f"[check] {'blessing' if bless else 'verifying'} "
         f"{len(cells)} cell(s) via the sweep runtime (jobs={jobs})"
     )
-    results, events = _simulate_sampled(scale, cells, jobs)
+    results, streams = _simulate_sampled(scale, cells, jobs)
 
     golden_count = len(store)
     if not bless and golden_count == 0:
@@ -168,7 +172,7 @@ def run_check(
 
     for design, workload in cells:
         digest = result_digest(results[(design, workload)])
-        stream = events_digest(events.get((design, workload), []))
+        stream = streams[(design, workload)]
         cell = CellReport(
             design=design,
             workload=workload,

@@ -50,14 +50,10 @@ class ChameleonOptArchitecture(ChameleonArchitecture):
                 self._clear_segment(group, slot=state.slot_of[local])
                 bus = self.telemetry
                 if bus.enabled:
+                    # (time_ns, group, moved_local, displaced_local,
+                    # reason), positional as in ``_emit_isa``.
                     bus.emit(
-                        SegmentSwap(
-                            time_ns=0.0,
-                            group=group,
-                            moved_local=free_local,
-                            displaced_local=local,
-                            reason="proactive",
-                        )
+                        SegmentSwap(0.0, group, free_local, local, "proactive")
                     )
 
         state.abv[local] = True

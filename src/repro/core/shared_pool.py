@@ -13,12 +13,22 @@ implements that extension in hardware-model form:
   borrowed slot instead of swapped, saving the swap bandwidth entirely;
 * a borrow is revoked (with writeback when dirty) as soon as the donor
   leaves cache mode or starts caching for itself.
+
+The donor chosen is always the earliest-materialised candidate.  A
+lazy min-heap of ``(materialisation order, group)`` finds it without
+scanning every group.  Only two steps can turn a group into a
+candidate, and both queue it: materialisation, and ISA-Free (which may
+drop the cached segment or re-enter cache mode).  ISA-Alloc and demand
+fills only take candidacy away, and a loan ends only once its donor
+has stopped being a candidate.  Entries that stopped being candidates
+are dropped when they surface at the top of the heap.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.arch.remap import GroupState, Mode
 from repro.core.chameleon_opt import ChameleonOptArchitecture
@@ -54,10 +64,34 @@ class ChameleonSharedPool(ChameleonOptArchitecture):
         # Groups never touched by ISA or demand traffic still sit in
         # their boot state (cache mode, fully free): they are donors.
         self._next_virgin_group = 0
+        # Donor index: group -> materialisation order, and a min-heap
+        # of (order, group) holding every current donor candidate
+        # (plus stale entries); ``_queued`` keeps one entry per group.
+        self._order: Dict[int, int] = {}
+        self._donor_heap: List[Tuple[int, int]] = []
+        self._queued: Set[int] = set()
 
     # ------------------------------------------------------------------
     # Donor management
     # ------------------------------------------------------------------
+
+    def group_state(self, group: int) -> GroupState:
+        state = self._groups.get(group)
+        if state is None:
+            state = super().group_state(group)
+            self._order[group] = len(self._order)
+            self._queue_donor(group)
+        return state
+
+    def isa_free(self, segment_id: int) -> None:
+        super().isa_free(segment_id)
+        self._queue_donor(self.geometry.group_and_local(segment_id)[0])
+
+    def _queue_donor(self, group: int) -> None:
+        """Index ``group`` if it may have become a donor candidate."""
+        if group not in self._queued:
+            self._queued.add(group)
+            heapq.heappush(self._donor_heap, (self._order[group], group))
 
     def _is_donor_candidate(self, group: int, state: GroupState) -> bool:
         return (
@@ -68,9 +102,26 @@ class ChameleonSharedPool(ChameleonOptArchitecture):
         )
 
     def _find_donor(self, exclude: int) -> Optional[int]:
-        for group, state in self._groups.items():
-            if group != exclude and self._is_donor_candidate(group, state):
-                return group
+        """The earliest-materialised donor candidate other than
+        ``exclude``, else a never-touched group."""
+        heap = self._donor_heap
+        groups = self._groups
+        held: Optional[Tuple[int, int]] = None
+        found: Optional[int] = None
+        while heap:
+            group = heap[0][1]
+            if not self._is_donor_candidate(group, groups[group]):
+                heapq.heappop(heap)
+                self._queued.discard(group)
+            elif group == exclude:
+                held = heapq.heappop(heap)
+            else:
+                found = group
+                break
+        if held is not None:
+            heapq.heappush(heap, held)
+        if found is not None:
+            return found
         # Fall back to a never-touched group, which is free by
         # construction (boot state).
         while self._next_virgin_group < self.geometry.num_groups:
@@ -79,7 +130,7 @@ class ChameleonSharedPool(ChameleonOptArchitecture):
             if group == exclude or group in self._lent:
                 continue
             if group in self._groups:
-                continue  # already materialised and judged above
+                continue  # already materialised and indexed above
             state = self.group_state(group)
             if self._is_donor_candidate(group, state):
                 return group

@@ -12,7 +12,7 @@ This package makes that sweep fast, repeatable, and crash-proof:
   graceful degradation to serial execution;
 * :class:`ResultCache` — content-addressed on-disk cache keyed by
   ``(Scale, design, workload, repro.__version__)``, surviving across
-  processes and CLI invocations, with hit/miss/eviction/corruption
+  processes and CLI invocations, with hit/miss/store/corruption
   accounting (a damaged entry is a miss, never an error);
 * :class:`SweepJournal` — append-only JSONL checkpoint next to the
   cache; an interrupted sweep resumes and replays only missing cells,

@@ -46,9 +46,8 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     stores: int = 0
-    evictions: int = 0
     #: Unreadable/truncated/incompatible entries dropped on lookup
-    #: (each also counts as a miss and an eviction).
+    #: (each also counts as a miss).
     corrupt: int = 0
 
     @property
@@ -122,7 +121,7 @@ class ResultCache:
         A corrupt entry — truncated file, invalid JSON or UTF-8, wrong
         payload shape, incompatible result schema, even an unreadable
         file — **never raises**: it is evicted and counted as a miss
-        (plus ``stats.corrupt``/``stats.evictions``), so one damaged
+        (plus ``stats.corrupt``), so one damaged
         file costs one re-simulation, not the sweep.
         """
         path = self._path(self.key(scale, design, workload))
@@ -145,7 +144,6 @@ class ResultCache:
             except OSError:
                 pass  # unremovable (permissions): still just a miss
             self.stats.corrupt += 1
-            self.stats.evictions += 1
             self.stats.misses += 1
             return None
         self.stats.hits += 1

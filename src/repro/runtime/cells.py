@@ -13,10 +13,12 @@ receives only the arena's small manifest.
 
 Telemetry rides along the same boundary: a worker cannot share the
 parent's :class:`~repro.telemetry.EventBus`, so ``timed_cell`` captures
-the cell's events on a private bus and ships them back as plain dicts
-(:meth:`TelemetryEvent.to_dict`), which the executor rehydrates with
-:func:`~repro.telemetry.event_from_dict`.  Capture is observational —
-the :class:`SimulationResult` is bit-identical with it on or off.
+the cell's events on a private bus and returns the
+:class:`~repro.telemetry.TelemetryEvent` objects themselves.  A worker
+is forked from the same code as the parent, so the pipe pickles them
+as they are; an inline cell hands them over untouched.  Capture is
+observational — the :class:`SimulationResult` is bit-identical with it
+on or off.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from repro.runtime.faults import apply_fault
 from repro.sim import SimulationResult, simulate
 from repro.telemetry.auditor import InvariantAuditor
 from repro.telemetry.bus import EventBus
-from repro.telemetry.events import ArenaEvent
+from repro.telemetry.events import ArenaEvent, TelemetryEvent
 from repro.telemetry.recorder import EventLog
 from repro.workloads import benchmark, build_workload
 from repro.workloads.compiled import CompiledTrace
@@ -88,14 +90,14 @@ def simulate_cell(
 
 def timed_cell(
     args: Tuple,
-) -> Tuple[str, str, float, SimulationResult, List[Dict]]:
+) -> Tuple[str, str, float, SimulationResult, List[TelemetryEvent]]:
     """Worker-process entry point: ``(scale, design, workload, capture,
     audit, fault, hang_seconds, arena)`` in, ``(design, workload,
     seconds, result, events)`` out.
 
-    ``events`` is a list of :meth:`TelemetryEvent.to_dict` dicts (events
-    themselves carry no pickle guarantee across versions; the dict form
-    is the wire format) — empty unless ``capture`` is set.
+    ``events`` is the captured list of
+    :class:`~repro.telemetry.TelemetryEvent` objects, in emission order
+    — empty unless ``capture`` is set.
 
     ``fault`` is an injected fault kind from a
     :class:`~repro.runtime.faults.FaultPlan`, executed *inside the
@@ -133,7 +135,7 @@ def timed_cell(
         )
         if marked:
             bus.emit(_arena_event("detach", arena))
-        events = [event.to_dict() for event in log.events] if capture else []
+        events = log.events if capture else []
     else:
         result = simulate_cell(scale, design, workload, trace=trace)
         events = []

@@ -84,7 +84,7 @@ from repro.runtime.metrics import (
 from repro.sim import SimulationResult
 from repro.telemetry.auditor import InvariantViolation
 from repro.telemetry.bus import EventBus
-from repro.telemetry.events import JobRetryEvent, TelemetryEvent, event_from_dict
+from repro.telemetry.events import JobRetryEvent, TelemetryEvent
 
 #: Sweep results keyed by ``(design, workload)``.
 SweepResults = Dict[Tuple[str, str], SimulationResult]
@@ -93,8 +93,8 @@ SweepResults = Dict[Tuple[str, str], SimulationResult]
 SweepEvents = Dict[Tuple[str, str], List[TelemetryEvent]]
 
 #: One cell attempt's outcome: (design, workload, seconds, result,
-#: wire-format events).
-CellOutcome = Tuple[str, str, float, SimulationResult, List[dict]]
+#: captured events).
+CellOutcome = Tuple[str, str, float, SimulationResult, List[TelemetryEvent]]
 
 #: Default retry budget: attempts allowed = retries + 1.
 DEFAULT_RETRIES = 2
@@ -170,11 +170,12 @@ class SweepExecutor:
     Telemetry capture (``telemetry=EventBus()``) records each simulated
     cell's event stream into :attr:`events` and replays it onto the
     given bus at the parent, cell by cell in completion order — worker
-    processes cannot share the parent's bus, so events cross the pool
-    boundary as dicts and are rehydrated here.  ``audit=True`` attaches
-    a live invariant auditor to every cell's architecture *inside* the
-    worker (violations propagate out of :meth:`run` unretried — an
-    audit failure is deterministic, retrying cannot fix it).
+    processes cannot share the parent's bus, so each cell's events
+    cross the pool boundary as one pickled list of event objects.
+    ``audit=True`` attaches a live invariant auditor to every cell's
+    architecture *inside* the worker (violations propagate out of
+    :meth:`run` unretried — an audit failure is deterministic,
+    retrying cannot fix it).
 
     Events never touch the result cache or the journal: the cached/
     journalled key and payload are exactly the telemetry-off ones, so
@@ -425,15 +426,14 @@ class SweepExecutor:
         return self.faults.hang_seconds if self.faults is not None else 0.0
 
     def _merge_events(
-        self, design: str, workload: str, events: Sequence[dict]
+        self, design: str, workload: str, events: List[TelemetryEvent]
     ) -> None:
-        """Rehydrate one cell's wire-format events and replay them on
-        the parent bus, preserving in-cell order."""
-        hydrated = [event_from_dict(data) for data in events]
-        self.events[(design, workload)] = hydrated
+        """Record one cell's events and replay them on the parent bus,
+        preserving in-cell order."""
+        self.events[(design, workload)] = events
         bus = self.telemetry
         if bus is not None and bus.enabled:
-            for event in hydrated:
+            for event in events:
                 bus.emit(event)
 
     def _args(self, scale, job: _Job, manifest: Optional[Dict]) -> Tuple:

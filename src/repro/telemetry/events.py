@@ -8,10 +8,11 @@ such occurrence with enough context to audit SRRT consistency after
 the fact (or live, see :mod:`repro.telemetry.auditor`) and to export
 the run as a Chrome/Perfetto trace.
 
-Events are frozen dataclasses with a stable ``kind`` tag; the
-``to_dict``/:func:`event_from_dict` round trip is the wire format used
-to ship events out of :class:`~repro.runtime.SweepExecutor` worker
-processes and into the JSONL exporter.
+Events are frozen dataclasses with a stable ``kind`` tag.  They cross
+the :class:`~repro.runtime.SweepExecutor` pool as the objects
+themselves (workers fork from the same code, so they pickle as-is);
+the ``to_dict``/:func:`event_from_dict` round trip is the form the
+JSONL and Chrome-trace exporters write and read.
 """
 
 from __future__ import annotations
@@ -224,6 +225,42 @@ EVENT_TYPES: Dict[str, Type[TelemetryEvent]] = {
         ServeEvent,
     )
 }
+
+
+def _fill_dict_init(cls: Type[TelemetryEvent]) -> None:
+    """Give ``cls`` an ``__init__`` that stores its fields straight
+    into the instance ``__dict__``.
+
+    The frozen-dataclass ``__init__`` pays one ``object.__setattr__``
+    call per field, and events are built on the simulator's hot paths.
+    The replacement keeps the same signature and defaults; everything
+    else (``FrozenInstanceError`` on assignment, ``==``, ``hash``,
+    ``repr``, :func:`dataclasses.fields`, pickling) is the dataclass's
+    own and unchanged.
+    """
+    params, body, defaults = [], [], {}
+    for spec in fields(cls):
+        name = spec.name
+        if spec.default is MISSING:
+            params.append(name)
+        else:
+            defaults[f"_default_{name}"] = spec.default
+            params.append(f"{name}=_default_{name}")
+        body.append(f"    d[{name!r}] = {name}")
+    source = (
+        f"def __init__(self, {', '.join(params)}):\n"
+        "    d = self.__dict__\n" + "\n".join(body)
+    )
+    namespace: Dict[str, Any] = {}
+    exec(source, defaults, namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init  # type: ignore[misc]
+
+
+for _cls in EVENT_TYPES.values():
+    _fill_dict_init(_cls)
+del _cls
 
 
 def event_from_dict(data: Mapping[str, Any]) -> TelemetryEvent:

@@ -301,7 +301,7 @@ class TestFaultInteraction:
             (TINY, "PoM", "mcf", False, False, None, 0.0, None)
         )
         assert result_digest(result) == result_digest(plain)
-        assert not [e for e in events if e["kind"] == "arena"]
+        assert not [e for e in events if e.kind == "arena"]
 
 
 class TestArenaTelemetry:

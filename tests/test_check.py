@@ -4,10 +4,12 @@ CLI exit codes — including the mandated regression test that an
 injected digest mismatch makes ``check`` exit non-zero.
 """
 
+import hashlib
 import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
@@ -29,10 +31,16 @@ from repro.check import (
     sample_cells,
     scale_identity,
 )
+from repro.check.canonical import (
+    INFRASTRUCTURE_EVENT_KINDS,
+    _generic_line,
+    _line_encoder,
+)
 from repro.check.fuzz import ACCESSES_RANGE, COPIES_CHOICES, FAST_MB_CHOICES
 from repro.experiments.__main__ import main
 from repro.experiments.designs import REGISTRY
 from repro.experiments.runner import SMOKE_SCALE
+from repro.telemetry.events import EVENT_TYPES, SegmentSwap
 from tests.conftest import tiny_scale
 
 COMMITTED_GOLDENS = Path(__file__).parent / "goldens"
@@ -94,6 +102,81 @@ class TestCanonicalDigests:
         assert events_digest([]) == events_digest(
             [{"kind": "arena", "action": "attach"}]
         )
+
+
+class TestCompiledEventEncoders:
+    """``events_digest`` renders registered event classes through
+    compiled line encoders; every line must equal the canonical
+    encoding of the event's ``to_dict()``."""
+
+    EDGE_VALUES = (
+        True, False, None, 0, -7, 10**30, -0.0, 5e-324, 1e16, 2.5,
+        float("nan"), float("inf"), float("-inf"), np.float64(0.1),
+        "", 'say "hi"', "back\\slash", "ctrl\x00\x1f\n\t\x7f",
+        "Chaméléon ✓ \u2028 \U0001f600",
+    )
+
+    @classmethod
+    def edge_events(cls, event_cls):
+        """Events of ``event_cls`` whose fields rotate through every
+        edge value, so each field sees each value."""
+        names = event_cls.__match_args__
+        values = cls.EDGE_VALUES
+        return [
+            event_cls(*(values[(i + k) % len(values)]
+                        for i in range(len(names))))
+            for k in range(len(values))
+        ]
+
+    @classmethod
+    def stream(cls):
+        return [
+            event
+            for event_cls in EVENT_TYPES.values()
+            for event in cls.edge_events(event_cls)
+        ]
+
+    @pytest.mark.parametrize("event_cls", EVENT_TYPES.values(),
+                             ids=lambda c: c.kind)
+    def test_compiled_line_equals_canonical_bytes(self, event_cls):
+        encode = _line_encoder(event_cls)
+        infrastructure = event_cls.kind in INFRASTRUCTURE_EVENT_KINDS
+        assert (encode is _generic_line) == infrastructure
+        for event in self.edge_events(event_cls):
+            line = encode(event)
+            if infrastructure:
+                assert line is None
+            else:
+                assert line.encode("utf-8") == canonical_json_bytes(
+                    event.to_dict()
+                )
+
+    def test_unencodable_value_fails_as_the_shared_encoder_does(self):
+        event = SegmentSwap(0.0, np.int64(1), 2, 3)
+        with pytest.raises(TypeError):
+            canonical_json_bytes(event.to_dict())
+        with pytest.raises(TypeError):
+            events_digest([event])
+
+    def test_object_and_dict_streams_digest_the_same(self):
+        # Long enough to cross a hashing chunk boundary.
+        stream = self.stream() * 20
+        expected = hashlib.sha256()
+        for event in stream:
+            if event.kind not in INFRASTRUCTURE_EVENT_KINDS:
+                expected.update(canonical_json_bytes(event.to_dict()) + b"\n")
+        assert events_digest(stream) == expected.hexdigest()
+        assert events_digest([e.to_dict() for e in stream]) == (
+            expected.hexdigest()
+        )
+
+    def test_infrastructure_kinds_are_excluded(self):
+        stream = self.stream()
+        semantic = [
+            e for e in stream if e.kind not in INFRASTRUCTURE_EVENT_KINDS
+        ]
+        assert len(semantic) < len(stream)
+        assert events_digest(stream) == events_digest(semantic)
 
 
 class TestGoldenStore:

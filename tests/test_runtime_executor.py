@@ -67,7 +67,7 @@ class TestTelemetryCapture:
         assert all(traced_executor.events.values())
 
     def test_pooled_capture_matches_serial_capture(self):
-        from repro.telemetry import EventBus
+        from repro.telemetry import EventBus, TelemetryEvent
 
         serial = SweepExecutor(jobs=1, telemetry=EventBus())
         serial.run(SMOKE_SCALE, DESIGNS)
@@ -75,6 +75,12 @@ class TestTelemetryCapture:
         pooled.run(SMOKE_SCALE, DESIGNS)
         assert set(serial.events) == set(pooled.events)
         for cell, stream in serial.events.items():
+            # Events cross the pool as the objects themselves, on
+            # both paths.
+            for captured in (stream, pooled.events[cell]):
+                assert captured
+                assert all(isinstance(e, TelemetryEvent) for e in captured)
+            assert pooled.events[cell] == stream
             assert [e.to_dict() for e in pooled.events[cell]] == [
                 e.to_dict() for e in stream
             ]

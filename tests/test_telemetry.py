@@ -4,6 +4,7 @@ recorders, both trace exporters, and the live SRRT invariant auditor
 
 import dataclasses
 import json
+import pickle
 import typing
 
 import pytest
@@ -127,6 +128,33 @@ class TestEventWireFormat:
 
     def test_events_digest_is_pinned(self):
         assert events_digest(self.EVENTS) == self.EVENTS_DIGEST
+
+    @pytest.mark.parametrize("event", EVENTS, ids=lambda e: e.kind)
+    def test_events_stay_frozen(self, event):
+        name = event.__match_args__[-1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(event, name, getattr(event, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del event.time_ns
+
+    @pytest.mark.parametrize("event", EVENTS, ids=lambda e: e.kind)
+    def test_constructor_keeps_the_dataclass_contract(self, event):
+        cls = type(event)
+        values = [getattr(event, f.name) for f in dataclasses.fields(cls)]
+        rebuilt = cls(*values)
+        assert rebuilt == event and hash(rebuilt) == hash(event)
+        assert repr(rebuilt) == repr(event)
+        assert pickle.loads(pickle.dumps(event)) == event
+        assert dataclasses.replace(event) == event
+        defaulted = [f for f in dataclasses.fields(cls)
+                     if f.default is not dataclasses.MISSING]
+        required = [f.name for f in dataclasses.fields(cls)
+                    if f.default is dataclasses.MISSING]
+        partial = cls(**{name: getattr(event, name) for name in required})
+        for f in defaulted:
+            assert getattr(partial, f.name) == f.default
+        with pytest.raises(TypeError, match="missing"):
+            cls()
 
     def test_missing_field_rejected(self):
         data = SegmentSwap(1.0, group=2, moved_local=3,
