@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.config import SystemConfig
 from repro.dram import HeterogeneousMemory
@@ -94,6 +95,24 @@ class MemoryArchitecture(abc.ABC):
 
     def isa_alloc(self, segment_id: int) -> None:
         """The OS allocated segment ``segment_id`` (OS address domain)."""
+        self.isa_alloc_many((segment_id,))
+
+    def isa_alloc_many(self, segments: Iterable[int]) -> None:
+        """The OS allocated each of ``segments``, in order: one
+        ISA-Alloc per segment (Algorithm 1's up-front pass).
+
+        Each design that co-operates with the OS has exactly one
+        ISA-Alloc body, this loop; :meth:`isa_alloc` is its one-segment
+        case.  A segment's ``(local, group)`` is ``divmod(segment,
+        num_fast_segments)``, the arithmetic of
+        :meth:`~repro.arch.remap.SegmentGeometry.group_and_local`.
+        A loop may tally its counters in local ints and add each once
+        at the end: nothing reads ``counters`` between one call's first
+        and last segment (the invariant auditor reads only group
+        state), and integral tallies are exact in any order.  Events
+        are emitted at the same post-state points, in segment order.
+        The default does nothing: the architecture is OS-agnostic.
+        """
 
     def isa_free(self, segment_id: int) -> None:
         """The OS freed segment ``segment_id`` (OS address domain)."""

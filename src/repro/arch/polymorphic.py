@@ -10,6 +10,8 @@ it by 10.5% despite harvesting the same amount of free space.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.config import SystemConfig
 from repro.arch.base import MemoryArchitecture
 from repro.arch.remap import GroupState, GroupTable, Mode
@@ -31,18 +33,27 @@ class PolymorphicMemory(MemoryArchitecture, GroupTable):
     # ISA hooks (the patent's OS co-operation)
     # ------------------------------------------------------------------
 
-    def isa_alloc(self, segment_id: int) -> None:
-        group, local = self.geometry.group_and_local(segment_id)
-        state = self.group_state(group)
-        state.abv[local] = True
-        if local == 0:
-            # Stacked segment claimed: stop caching (writeback if dirty).
-            if state.cached is not None and state.dirty:
-                self._writeback(group, state, 0.0)
-            state.cached = None
-            state.dirty = False
-            state.mode = Mode.POM
-            self.counters.add("polymorphic.to_static")
+    def isa_alloc_many(self, segments: Iterable[int]) -> None:
+        groups = self._groups
+        num_fast = self.geometry.num_fast_segments
+        to_static = 0
+        for segment in segments:
+            local, group = divmod(segment, num_fast)
+            state = groups.get(group)
+            if state is None:
+                state = self.group_state(group)
+            state.abv[local] = True
+            if local == 0:
+                # Stacked segment claimed: stop caching (writeback if
+                # dirty).
+                if state.cached is not None and state.dirty:
+                    self._writeback(group, state, 0.0)
+                state.cached = None
+                state.dirty = False
+                state.mode = Mode.POM
+                to_static += 1
+        if to_static:
+            self.counters.add("polymorphic.to_static", to_static)
 
     def isa_free(self, segment_id: int) -> None:
         group, local = self.geometry.group_and_local(segment_id)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 import sys
 from pathlib import Path
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro
 from repro.check.canonical import events_digest, result_digest
@@ -39,7 +39,7 @@ from repro.check.report import (
     CellReport,
     CheckReport,
 )
-from repro.runtime import SweepExecutor
+from repro.runtime import CellStat, SweepExecutor
 from repro.telemetry import EventBus
 
 #: Defaults of the CLI subcommand.
@@ -82,24 +82,29 @@ def _simulate_sampled(
     scale: Any, cells: Sequence[Cell], jobs: int
 ) -> Tuple[dict, dict]:
     """Run the sampled cells through the sweep runtime with telemetry
-    capture → ``(results, events digests)`` keyed by cell.  The streams
-    themselves are dropped here, so the deep phase does not hold them.
+    capture → ``(results, events digests)`` keyed by cell.  Each stream
+    is digested and dropped as its cell lands, so the stage holds one
+    stream at a time, not the whole sample's.
 
     No result cache: conformance must re-simulate (a warm cache would
     compare the store against itself).  No fault plan: an injected
     ``$REPRO_FAULTS`` must not fail — or excuse — a conformance run.
     """
+    streams: Dict[Cell, str] = {}
+
+    def digest_and_drop(stat: CellStat, done: int, total: int) -> None:
+        cell = (stat.design, stat.workload)
+        streams[cell] = events_digest(executor.events.pop(cell, []))
+
     executor = SweepExecutor(
         jobs=jobs,
         cache=None,
+        on_cell=digest_and_drop,
         faults=None,
         telemetry=EventBus(),
         arena=True,
     )
     results = executor.run_cells(scale, list(cells))
-    streams = {
-        cell: events_digest(executor.events.get(cell, [])) for cell in cells
-    }
     return results, streams
 
 

@@ -18,6 +18,8 @@ counters exactly like a PoM swap.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.config import SystemConfig
 from repro.arch.pom import DEFAULT_SWAP_THRESHOLD, PoMArchitecture
 from repro.arch.remap import GroupState, Mode
@@ -81,32 +83,53 @@ class ChameleonArchitecture(PoMArchitecture):
     # ISA-Alloc (Figure 8)
     # ------------------------------------------------------------------
 
-    def isa_alloc(self, segment_id: int) -> None:
-        group, local = self.geometry.group_and_local(segment_id)
-        state = self.group_state(group)
-        self.counters.add("isa.alloc_seen")
-        if local != 0:
-            # Flow 1-2-4-5: off-chip alloc, continue in the previous mode.
-            state.abv[local] = True
-            self._emit_isa(segment_id, group, local, alloc=True)
-            return
-
-        # Stacked-DRAM address: the group is in cache mode (the stacked
-        # segment was free) and may or may not be caching something.
-        if state.cached is None:
-            # Flow 1-2-3-7-8: caching nothing; just claim the slot.
-            self._clear_segment(group, slot=0)
-        else:
-            # Flow 1-2-3-6-8: caching off-chip segment Q; write it back
-            # if dirty, then claim the slot.
-            if state.dirty:
-                self._evict_writeback(group, state)
-            state.cached = None
-            state.dirty = False
-            self._clear_segment(group, slot=0)
-        state.abv[0] = True
-        self._enter_pom(group, state)
-        self._emit_isa(segment_id, group, local, alloc=True)
+    def isa_alloc_many(self, segments: Iterable[int]) -> None:
+        groups = self._groups
+        num_fast = self._num_fast
+        bus = self.telemetry
+        emit = bus.emit if bus.enabled else None
+        seen = cleared = to_pom = 0
+        for segment in segments:
+            local, group = divmod(segment, num_fast)
+            state = groups.get(group)
+            if state is None:
+                state = self.group_state(group)
+            seen += 1
+            if local != 0:
+                # Flow 1-2-4-5: off-chip alloc, continue in the previous
+                # mode.
+                state.abv[local] = True
+            else:
+                # Stacked-DRAM address: the group is in cache mode (the
+                # stacked segment was free).  Flow 1-2-3-7-8 when it
+                # caches nothing; flow 1-2-3-6-8 when it caches
+                # off-chip segment Q: write Q back if dirty.  Either
+                # way, claim (and clear) the slot and enter PoM mode.
+                if state.cached is not None:
+                    if state.dirty:
+                        self._evict_writeback(group, state)
+                    state.cached = None
+                    state.dirty = False
+                cleared += 1
+                state.abv[0] = True
+                if state.mode is not Mode.POM:
+                    state.mode = Mode.POM
+                    state.dirty = False
+                    state.miss_streak = 0
+                    to_pom += 1
+                    if emit is not None:
+                        emit(ModeTransition(0.0, group, "pom"))
+            if emit is not None:
+                # Positional, in field order, once the state settled
+                # (the auditor validates the group's post state).
+                emit(IsaAllocEvent(0.0, segment, True, group, local))
+        counters = self.counters
+        if seen:
+            counters.add("isa.alloc_seen", seen)
+        if cleared:
+            counters.add("chameleon.segments_cleared", cleared)
+        if to_pom:
+            counters.add("chameleon.to_pom", to_pom)
 
     # ------------------------------------------------------------------
     # ISA-Free (Figure 10)
@@ -287,19 +310,6 @@ class ChameleonArchitecture(PoMArchitecture):
     # ------------------------------------------------------------------
     # Mode transitions
     # ------------------------------------------------------------------
-
-    def _enter_pom(self, group: int, state: GroupState) -> None:
-        if state.mode is not Mode.POM:
-            state.mode = Mode.POM
-            state.cached = None
-            state.dirty = False
-            state.miss_streak = 0
-            self.counters.add("chameleon.to_pom")
-            bus = self.telemetry
-            if bus.enabled:
-                bus.emit(
-                    ModeTransition(time_ns=0.0, group=group, mode="pom")
-                )
 
     def _enter_cache(self, group: int, state: GroupState) -> None:
         if state.mode is not Mode.CACHE:

@@ -16,9 +16,11 @@ never produce a stacked hit of its own, Figure 13's discussion).
 
 from __future__ import annotations
 
-from repro.arch.remap import GroupState, Mode
+from typing import Iterable
+
+from repro.arch.remap import Mode
 from repro.core.chameleon import ChameleonArchitecture
-from repro.telemetry.events import SegmentSwap
+from repro.telemetry.events import IsaAllocEvent, ModeTransition, SegmentSwap
 
 
 class ChameleonOptArchitecture(ChameleonArchitecture):
@@ -30,41 +32,74 @@ class ChameleonOptArchitecture(ChameleonArchitecture):
     # ISA-Alloc (Figure 12)
     # ------------------------------------------------------------------
 
-    def isa_alloc(self, segment_id: int) -> None:
-        group, local = self.geometry.group_and_local(segment_id)
-        state = self.group_state(group)
-        self.counters.add("isa.alloc_seen")
-
-        if state.slot_of[local] == 0:
-            # P currently resides in the stacked slot (in cache mode the
-            # slot's resident is by invariant a free segment — P itself,
-            # until this allocation).  If any *other* segment is free,
-            # proactively remap P into that free off-chip slot so the
-            # stacked slot stays cacheable (flow 1-2-3-4-7-8, Figure 13).
-            free_local = self._free_offchip_local(state, exclude=local)
-            if free_local is not None:
-                state.swap_slots(0, state.slot_of[free_local])
-                self.counters.add("chameleon_opt.proactive_remaps")
-                # P is freshly allocated: no valid data to move, only the
-                # security clear of its new location.
-                self._clear_segment(group, slot=state.slot_of[local])
-                bus = self.telemetry
-                if bus.enabled:
-                    # (time_ns, group, moved_local, displaced_local,
-                    # reason), positional as in ``_emit_isa``.
-                    bus.emit(
-                        SegmentSwap(0.0, group, free_local, local, "proactive")
-                    )
-
-        state.abv[local] = True
-        if all(state.abv):
-            # Flow ...-10-6: no free segment left anywhere in the group.
-            if state.cached is not None and state.dirty:
-                self._evict_writeback(group, state)
-            self._clear_segment(group, slot=0)
-            self._enter_pom(group, state)
-        # Otherwise flow ...-10-11: continue in cache mode.
-        self._emit_isa(segment_id, group, local, alloc=True)
+    def isa_alloc_many(self, segments: Iterable[int]) -> None:
+        groups = self._groups
+        num_fast = self._num_fast
+        bus = self.telemetry
+        emit = bus.emit if bus.enabled else None
+        seen = remaps = cleared = to_pom = 0
+        for segment in segments:
+            local, group = divmod(segment, num_fast)
+            state = groups.get(group)
+            if state is None:
+                state = self.group_state(group)
+            seen += 1
+            abv = state.abv
+            slot_of = state.slot_of
+            if slot_of[local] == 0:
+                # P currently resides in the stacked slot (in cache mode
+                # the slot's resident is by invariant a free segment —
+                # P itself, until this allocation).  If any *other*
+                # segment is free, proactively remap P into the
+                # lowest-numbered free off-chip slot so the stacked slot
+                # stays cacheable (flow 1-2-3-4-7-8, Figure 13).
+                for free_local in range(state.size):
+                    if (
+                        free_local != local
+                        and not abv[free_local]
+                        and slot_of[free_local] != 0
+                    ):
+                        state.swap_slots(0, slot_of[free_local])
+                        remaps += 1
+                        # P is freshly allocated: no valid data to move,
+                        # only the security clear of its new location.
+                        cleared += 1
+                        if emit is not None:
+                            # (time_ns, group, moved_local,
+                            # displaced_local, reason), positional.
+                            emit(
+                                SegmentSwap(
+                                    0.0, group, free_local, local, "proactive"
+                                )
+                            )
+                        break
+            abv[local] = True
+            if all(abv):
+                # Flow ...-10-6: no free segment left anywhere in the
+                # group.
+                if state.cached is not None and state.dirty:
+                    self._evict_writeback(group, state)
+                cleared += 1
+                if state.mode is not Mode.POM:
+                    state.mode = Mode.POM
+                    state.cached = None
+                    state.dirty = False
+                    state.miss_streak = 0
+                    to_pom += 1
+                    if emit is not None:
+                        emit(ModeTransition(0.0, group, "pom"))
+            # Otherwise flow ...-10-11: continue in cache mode.
+            if emit is not None:
+                emit(IsaAllocEvent(0.0, segment, True, group, local))
+        counters = self.counters
+        if seen:
+            counters.add("isa.alloc_seen", seen)
+        if remaps:
+            counters.add("chameleon_opt.proactive_remaps", remaps)
+        if cleared:
+            counters.add("chameleon.segments_cleared", cleared)
+        if to_pom:
+            counters.add("chameleon.to_pom", to_pom)
 
     # ------------------------------------------------------------------
     # ISA-Free (Figure 14)
@@ -121,18 +156,3 @@ class ChameleonOptArchitecture(ChameleonArchitecture):
         self._clear_segment(group, slot=0)
         self._enter_cache(group, state)
         self._emit_isa(segment_id, group, local, alloc=False)
-
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _free_offchip_local(
-        state: GroupState, exclude: int
-    ) -> int | None:
-        """Lowest-numbered free segment other than ``exclude`` whose slot
-        is off-chip (slot != 0)."""
-        for candidate in range(state.size):
-            if candidate == exclude or state.abv[candidate]:
-                continue
-            if state.slot_of[candidate] != 0:
-                return candidate
-        return None

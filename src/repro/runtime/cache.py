@@ -19,16 +19,19 @@ clear`` prunes it.  All traffic is counted in :class:`CacheStats`.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.sim import RESULT_SCHEMA_VERSION, SimulationResult
+
+#: ``json.dumps(..., sort_keys=True)`` without building an encoder per
+#: key (same defaults, so the same bytes).
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def default_cache_dir() -> Path:
@@ -78,8 +81,11 @@ class ResultCache:
 
     def key(self, scale: Any, design: str, workload: str) -> str:
         """SHA-256 digest of the canonical cell description."""
-        description = self.describe(scale, design, workload)
-        canonical = json.dumps(description, sort_keys=True)
+        return self._digest(self.describe(scale, design, workload))
+
+    @staticmethod
+    def _digest(description: Dict[str, Any]) -> str:
+        canonical = _KEY_ENCODER.encode(description)
         return hashlib.sha256(canonical.encode()).hexdigest()
 
     def describe(
@@ -92,24 +98,27 @@ class ResultCache:
         result (cells share no state).  Keying on it would give the
         same simulation a different address depending on which grid —
         or which :mod:`repro.serve` dispatch batch — it happened to
-        run in.
+        run in.  The other fields are scalars, read as they are (the
+        JSON ``dataclasses.asdict`` would give, without its deep copy).
         """
-        scale_fields = dataclasses.asdict(scale)
-        scale_fields.pop("benchmarks", None)
         return {
-            "scale": scale_fields,
+            "scale": {
+                field.name: getattr(scale, field.name)
+                for field in fields(scale)
+                if field.name != "benchmarks"
+            },
             "design": design,
             "workload": workload,
             "version": self.version,
             "result_schema": RESULT_SCHEMA_VERSION,
         }
 
-    def _path(self, digest: str) -> Path:
-        return self.root / digest[:2] / f"{digest}.json"
+    def _file(self, digest: str) -> str:
+        return os.path.join(self.root, digest[:2], f"{digest}.json")
 
     def entry_path(self, scale: Any, design: str, workload: str) -> Path:
         """Where the cell's entry lives (whether or not it exists)."""
-        return self._path(self.key(scale, design, workload))
+        return Path(self._file(self.key(scale, design, workload)))
 
     # -- traffic -------------------------------------------------------
 
@@ -124,9 +133,10 @@ class ResultCache:
         (plus ``stats.corrupt``), so one damaged
         file costs one re-simulation, not the sweep.
         """
-        path = self._path(self.key(scale, design, workload))
+        path = self._file(self.key(scale, design, workload))
         try:
-            payload = json.loads(path.read_text())
+            with open(path, "rb") as entry:
+                payload = json.loads(entry.read())
             result = SimulationResult.from_dict(payload["result"])
         except FileNotFoundError:
             self.stats.misses += 1
@@ -139,10 +149,11 @@ class ResultCache:
             ValueError,
         ):
             # Corrupt or incompatible entry: drop it and report a miss.
+            # (Invalid UTF-8 raises UnicodeDecodeError, a ValueError.)
             try:
-                path.unlink(missing_ok=True)
+                os.unlink(path)
             except OSError:
-                pass  # unremovable (permissions): still just a miss
+                pass  # gone, or unremovable (a directory): still a miss
             self.stats.corrupt += 1
             self.stats.misses += 1
             return None
@@ -166,13 +177,11 @@ class ResultCache:
         observe a partial file.  A shared ``.tmp`` name would let the
         racers interleave writes into one file and publish garbage.
         """
-        digest = self.key(scale, design, workload)
-        path = self._path(digest)
+        description = self.describe(scale, design, workload)
+        digest = self._digest(description)
+        path = Path(self._file(digest))
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "key": self.describe(scale, design, workload),
-            "result": result.to_dict(),
-        }
+        payload = {"key": description, "result": result.to_dict()}
         tmp = path.with_name(f".{digest}.{uuid.uuid4().hex}.tmp")
         try:
             tmp.write_text(json.dumps(payload))

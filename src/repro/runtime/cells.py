@@ -128,13 +128,13 @@ def timed_cell(
         log = bus.subscribe(EventLog())
         marked = capture and trace is not None
         if marked:
-            bus.emit(_arena_event("attach", arena))
+            bus.emit(_arena_event("attach", arena, trace))
         result = simulate_cell(
             scale, design, workload, telemetry=bus, audit=audit,
             trace=trace,
         )
         if marked:
-            bus.emit(_arena_event("detach", arena))
+            bus.emit(_arena_event("detach", arena, trace))
         events = log.events if capture else []
     else:
         result = simulate_cell(scale, design, workload, trace=trace)
@@ -142,13 +142,12 @@ def timed_cell(
     return design, workload, time.perf_counter() - start, result, events
 
 
-def _arena_event(action: str, manifest: Dict) -> ArenaEvent:
+def _arena_event(
+    action: str, manifest: Dict, trace: CompiledTrace
+) -> ArenaEvent:
     return ArenaEvent(
-        0.0,
-        action=action,
-        segment=str(manifest["handle"]),
-        bytes=int(manifest["bytes"]),
-        workloads=1,
+        0.0, action=action, segment=str(manifest["handle"]),
+        bytes=trace.nbytes,
     )
 
 

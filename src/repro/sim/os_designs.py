@@ -20,7 +20,7 @@ software.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Iterable
 
 from repro.config import SystemConfig
 from repro.arch.base import MemoryArchitecture
@@ -51,29 +51,39 @@ class FirstTouchMemory(MemoryArchitecture):
         #: Fast segments first-touch may fill before spilling to slow.
         self._fast_budget = self.geometry.num_fast_segments
 
-    def isa_alloc(self, segment_id: int) -> None:
+    def isa_alloc_many(self, segments: Iterable[int]) -> None:
         """Allocation-order placement: fast node until its budget is
-        used up."""
-        if segment_id in self._placement:
-            return
-        in_fast = self._fast_used < self._fast_budget
-        self._placement[segment_id] = in_fast
-        if in_fast:
-            self._slot[segment_id] = (
-                self._free_fast_slots.pop()
-                if self._free_fast_slots
-                else self._fast_used
-            )
-            self._fast_used += 1
-            self.counters.add("numa.placed_fast")
-        else:
-            self._slot[segment_id] = (
-                self._free_slow_slots.pop()
-                if self._free_slow_slots
-                else self._slow_used % self.geometry.num_slow_segments
-            )
-            self._slow_used += 1
-            self.counters.add("numa.placed_slow")
+        used up; an already placed segment stays where it is."""
+        placement = self._placement
+        slots = self._slot
+        free_fast = self._free_fast_slots
+        free_slow = self._free_slow_slots
+        budget = self._fast_budget
+        num_slow = self.geometry.num_slow_segments
+        fast_used = self._fast_used
+        slow_used = self._slow_used
+        placed_fast = placed_slow = 0
+        for segment in segments:
+            if segment in placement:
+                continue
+            if fast_used < budget:
+                placement[segment] = True
+                slots[segment] = free_fast.pop() if free_fast else fast_used
+                fast_used += 1
+                placed_fast += 1
+            else:
+                placement[segment] = False
+                slots[segment] = (
+                    free_slow.pop() if free_slow else slow_used % num_slow
+                )
+                slow_used += 1
+                placed_slow += 1
+        self._fast_used = fast_used
+        self._slow_used = slow_used
+        if placed_fast:
+            self.counters.add("numa.placed_fast", placed_fast)
+        if placed_slow:
+            self.counters.add("numa.placed_slow", placed_slow)
 
     def isa_free(self, segment_id: int) -> None:
         in_fast = self._placement.pop(segment_id, None)
@@ -153,14 +163,15 @@ class AutoNumaMemory(FirstTouchMemory):
 
     # -- placement ------------------------------------------------------
 
-    def isa_alloc(self, segment_id: int) -> None:
-        if segment_id in self._placement:
-            return
-        super().isa_alloc(segment_id)
-        self.balancer.place(
-            segment_id,
-            FAST_NODE if self._placement[segment_id] else SLOW_NODE,
-        )
+    def isa_alloc_many(self, segments: Iterable[int]) -> None:
+        """First-touch placement, mirrored into the balancer in the
+        same order (the balancer is read only once the call returns)."""
+        placement = self._placement
+        fresh = [s for s in dict.fromkeys(segments) if s not in placement]
+        super().isa_alloc_many(fresh)
+        place = self.balancer.place
+        for segment in fresh:
+            place(segment, FAST_NODE if placement[segment] else SLOW_NODE)
 
     def isa_free(self, segment_id: int) -> None:
         if segment_id in self._placement:

@@ -164,8 +164,8 @@ class ArenaEvent(TelemetryEvent):
     Each simulated cell that replays from the arena emits ``attach``
     before and ``detach`` after its simulation, into its captured
     stream.  ``action`` is one of :data:`ARENA_ACTIONS`; ``segment`` is
-    the arena handle, ``bytes`` the arena's payload size and
-    ``workloads`` the number of compiled traces the cell used (1).
+    the arena handle and ``bytes`` the size of the cell's own compiled
+    trace (:attr:`~repro.workloads.compiled.CompiledTrace.nbytes`).
     """
 
     kind: ClassVar[str] = "arena"
@@ -173,7 +173,6 @@ class ArenaEvent(TelemetryEvent):
     action: str
     segment: str
     bytes: int = 0
-    workloads: int = 0
 
 
 #: ``ServeEvent.action`` values (the request lifecycle of one job in

@@ -117,10 +117,11 @@ class MultiprogramWorkload:
         """Issue ISA-Alloc for every allocated segment (Algorithm 1).
 
         The paper's simulated snippets observe workloads that allocated
-        everything up front (Section VI-B); this reproduces that state.
+        everything up front (Section VI-B); this reproduces that state
+        in one :meth:`~repro.arch.base.MemoryArchitecture.isa_alloc_many`
+        pass.
         """
-        for segment in self.segments:
-            architecture.isa_alloc(segment)
+        architecture.isa_alloc_many(self.segments)
 
     def release_allocations(self, architecture) -> None:
         """Issue ISA-Free for every segment (workload teardown)."""

@@ -311,7 +311,6 @@ class TestArenaTelemetry:
             action="attach",
             segment="0123456789ab-1",
             bytes=4096,
-            workloads=3,
         )
         wire = event.to_dict()
         assert wire["kind"] == "arena"
@@ -323,8 +322,13 @@ class TestArenaTelemetry:
         )
         executor.run(TINY, ("PoM",))
         assert executor.events
-        for stream in executor.events.values():
+        for (_, workload), stream in executor.events.items():
             assert arena_actions(stream) == ["attach", "detach"]
+            # Each cell reports its own trace's size, not the arena's.
+            total = TINY.warmup_per_core + TINY.accesses_per_core
+            nbytes = compile_trace(tiny_workload(workload), total).nbytes
+            marks = [e for e in stream if e.kind == "arena"]
+            assert [e.bytes for e in marks] == [nbytes, nbytes]
 
     def test_pooled_actions_are_exactly_arena_actions(self):
         executor = SweepExecutor(

@@ -291,6 +291,41 @@ class TestRunCheck:
         assert len(report.cells) == len(conformance_grid(SMOKE_SCALE)) == 45
         assert all(c.golden_status == GOLDEN_MATCH for c in report.cells)
 
+    def test_sampled_streams_are_digested_as_they_land(self, monkeypatch):
+        """The golden stage digests each cell's stream as the cell
+        lands and drops it: same digests as collecting every stream
+        first, and nothing left on the executor afterwards."""
+        from repro.check import runner
+        from repro.runtime import SweepExecutor
+        from repro.telemetry import EventBus
+
+        cells = [
+            ("Chameleon-Opt", "mcf"),
+            ("Chameleon-Shared", "mcf"),
+            ("PoM", "mcf"),
+        ]
+        built = []
+
+        class Recording(SweepExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(runner, "SweepExecutor", Recording)
+        results, streams = runner._simulate_sampled(TINY, cells, jobs=1)
+        (executor,) = built
+        assert executor.events == {}
+
+        collected = SweepExecutor(
+            jobs=1, cache=None, faults=None, telemetry=EventBus()
+        )
+        expected = collected.run_cells(TINY, cells)
+        assert results == expected
+        assert streams == {
+            cell: events_digest(collected.events[cell]) for cell in cells
+        }
+        assert events_digest([]) not in streams.values()
+
     def test_tampered_golden_is_a_mismatch(self, runtime_dirs):
         run_check(
             TINY, bless=True, note="initial", deep=False,

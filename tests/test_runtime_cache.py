@@ -172,6 +172,103 @@ class TestCorruptionTolerance:
         assert expected.exists()
 
 
+class TestKeying:
+    """Cache addresses are a contract with every existing cache
+    directory: a key change orphans all of them."""
+
+    #: ``key(TINY_SCALE, "PoM", "mcf")`` at ``version="1.0.0"``, as
+    #: every earlier release of the cache computed it.
+    PINNED_KEY = (
+        "ad2aa7a6ecd51cda6a7a2c64cd8720fbc82d55fc2a0f4c63280e3a1cc8ff3a08"
+    )
+
+    #: The entry description those releases stored next to the result.
+    PINNED_DESCRIPTION = {
+        "scale": {
+            "fast_mb": 1.0,
+            "ratio": 5,
+            "accesses_per_core": 100,
+            "warmup_per_core": 100,
+            "num_copies": 2,
+            "seed": 0,
+        },
+        "design": "PoM",
+        "workload": "mcf",
+        "version": "1.0.0",
+        "result_schema": 1,
+    }
+
+    def test_key_is_pinned(self, tmp_path):
+        cache = ResultCache(tmp_path, version="1.0.0")
+        assert cache.key(TINY_SCALE, "PoM", "mcf") == self.PINNED_KEY
+
+    def test_describe_is_asdict_minus_benchmarks(self, tmp_path):
+        import dataclasses
+
+        cache = ResultCache(tmp_path, version="1.0.0")
+        expected = dataclasses.asdict(TINY_SCALE)
+        del expected["benchmarks"]
+        description = cache.describe(TINY_SCALE, "PoM", "mcf")
+        assert description["scale"] == expected
+        assert description == self.PINNED_DESCRIPTION
+
+    def test_put_stores_the_description_it_keyed(self, tmp_path, result):
+        cache = ResultCache(tmp_path, version="1.0.0")
+        path = cache.put(TINY_SCALE, "PoM", "mcf", result)
+        assert path.name == f"{self.PINNED_KEY}.json"
+        assert path.parent.name == self.PINNED_KEY[:2]
+        assert json.loads(path.read_text())["key"] == self.PINNED_DESCRIPTION
+
+    def test_reads_a_cache_directory_written_by_earlier_releases(
+        self, tmp_path, result
+    ):
+        from repro.runtime import SweepExecutor
+
+        # The entry exactly as earlier releases laid it out: text JSON
+        # of {"key", "result"} at <root>/<key[:2]>/<key>.json.
+        entry = tmp_path / self.PINNED_KEY[:2] / f"{self.PINNED_KEY}.json"
+        entry.parent.mkdir()
+        entry.write_text(
+            json.dumps(
+                {"key": self.PINNED_DESCRIPTION, "result": result.to_dict()}
+            )
+        )
+        cache = ResultCache(tmp_path, version="1.0.0")
+        executor = SweepExecutor(jobs=1, cache=cache, faults=None)
+        results = executor.run(TINY_SCALE, ["PoM"])
+        assert executor.metrics.simulated == 0
+        assert cache.stats.hits == 1 and cache.stats.corrupt == 0
+        assert results[("PoM", "mcf")] == result
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            # Invalid UTF-8 inside an otherwise well-formed entry.
+            lambda p: p.write_bytes(b'{"key": {}, "result": "\xff\xfe"}'),
+            # A lone continuation byte, then a truncated sequence.
+            lambda p: p.write_bytes(b"\x80" + p.read_bytes()[:-1] + b"\xe2"),
+            # A directory where the entry file should be.
+            lambda p: (p.unlink(), p.mkdir()),
+        ],
+        ids=["invalid_utf8_value", "invalid_utf8_frame", "directory"],
+    )
+    def test_undecodable_entries_are_counted_misses(
+        self, tmp_path, result, damage
+    ):
+        cache = ResultCache(tmp_path)
+        path = cache.put(TINY_SCALE, "PoM", "mcf", result)
+        damage(path)
+        for _ in range(2):  # a failed eviction stays a miss, not an error
+            assert cache.get(TINY_SCALE, "PoM", "mcf") is None
+        assert cache.stats.hits == 0
+        assert cache.stats.misses == 2
+        if path.is_dir():  # unremovable: corrupt on every lookup
+            assert cache.stats.corrupt == 2
+        else:  # evicted: the second lookup is a plain miss
+            assert not path.exists()
+            assert cache.stats.corrupt == 1
+
+
 class TestEvictionAndMaintenance:
     def test_info_and_clear(self, tmp_path, result):
         cache = ResultCache(tmp_path)

@@ -87,7 +87,7 @@ class TestEventWireFormat:
         JobRetryEvent(0.0, design="PoM", workload="mcf", attempt=2,
                       reason="crash"),
         ArenaEvent(0.0, action="attach", segment="repro-arena-1",
-                   bytes=4096, workloads=1),
+                   bytes=4096),
         ServeEvent(0.0, action="complete", job="9f2c", client="c1",
                    queue_depth=3, seconds=0.25),
     ]
