@@ -13,7 +13,8 @@ spelling per concept and keyword-only configuration arguments:
   registry labels / benchmark names or pre-built objects;
 * :func:`sweep` — a full design × workload grid through the
   fault-tolerant parallel runtime (precompiled trace arena, result
-  cache, checkpoint journal), returning a :class:`SweepOutcome`;
+  cache that doubles as the sweep checkpoint), returning a
+  :class:`SweepOutcome`;
 * :class:`ServeClient` / :class:`SimRequest` / :class:`SweepRequest` —
   talk to a running ``repro.serve`` simulation service (see
   docs/SERVING.md).
@@ -306,7 +307,8 @@ def sweep(
     serial execution, no persistent cache.  ``jobs>1`` fans out over
     supervised worker processes (results are bit-identical at any
     worker count); ``cache_dir`` enables the content-addressed disk
-    cache; ``arena`` compiles each workload's trace once per sweep and
+    cache (re-running an interrupted sweep on the same ``cache_dir``
+    simulates only the cells it did not finish); ``arena`` compiles each workload's trace once per sweep and
     shares it with every cell (``arena_budget`` bounds its bytes;
     over-budget grids regenerate per cell); ``timeout``
     (seconds per cell) and ``retries`` (re-dispatches before a cell is

@@ -43,14 +43,16 @@ Fault tolerance (see docs/RUNTIME.md):
     still fails raises ``SweepJobError`` carrying (design, workload,
     attempt).
 ``--resume``
-    Journal completed cells to a JSONL checkpoint next to the result
-    cache and, when a journal from an interrupted run exists, replay
-    only the missing cells — bit-identical to an uninterrupted run.
+    Deprecated no-op (warns once on stderr): the result cache, on by
+    default, is the sweep checkpoint — re-running an interrupted sweep
+    on the same ``--cache-dir`` simulates only the cells it did not
+    finish, bit-identical to an uninterrupted run.  With
+    ``--no-cache`` it is a usage error, since nothing would checkpoint.
 
 ``$REPRO_FAULTS`` (e.g. ``seed=7,crash=2,hang=1,corrupt=1,retries=4,
 timeout=5``) injects deterministic faults into the sweep — the CI
 fault matrix runs on exactly this hook.  The ``[runtime]`` trailer
-reports ``retries=/timeouts=/crashes=/resumed=`` counters.
+reports ``retries=/timeouts=/crashes=`` counters.
 
 Telemetry (see docs/TELEMETRY.md) hangs off the same executor:
 
@@ -83,7 +85,8 @@ path differentially, and writes ``CHECK_report.json``::
 
 Exit codes are uniform across subcommands: ``0`` success, ``1``
 failure (digest mismatch, failed sweep cell, invariant violation),
-``2`` usage error (unknown experiment/action, missing ``--note``).
+``2`` usage error (unknown experiment/action, missing ``--note``,
+``--resume`` with ``--no-cache``).
 """
 
 from __future__ import annotations
@@ -326,9 +329,9 @@ def main(argv: list[str] | None = None) -> int:
         "--resume",
         action="store_true",
         help=(
-            "checkpoint completed cells to a JSONL journal next to "
-            "the result cache and resume an interrupted sweep, "
-            "replaying only missing cells"
+            "deprecated, does nothing: the result cache (on by "
+            "default) already re-runs only the cells an interrupted "
+            "sweep did not finish; an error with --no-cache"
         ),
     )
     parser.add_argument(
@@ -444,6 +447,19 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     args = parser.parse_args(argv)
+    if args.resume:
+        if args.no_cache:
+            print(
+                "error: --resume needs the result cache, the sweep "
+                "checkpoint; drop --no-cache",
+                file=sys.stderr,
+            )
+            return 2
+        print(
+            "warning: --resume is deprecated and does nothing: the "
+            "result cache already re-runs only unfinished cells",
+            file=sys.stderr,
+        )
 
     cache_dir = args.cache_dir or default_cache_dir()
     if args.experiment == "cache":
@@ -513,7 +529,6 @@ def main(argv: list[str] | None = None) -> int:
         audit=args.audit,
         timeout=args.timeout,
         retries=args.retries,
-        journal_dir=cache_dir if args.resume else None,
         arena=args.arena,
     )
     scale = dataclasses.replace(

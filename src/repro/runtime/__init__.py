@@ -1,5 +1,5 @@
 """Fault-tolerant parallel sweep runtime: executor, persistent result
-cache, checkpoint journal, deterministic fault injection, metrics.
+cache, deterministic fault injection, metrics.
 
 Every paper figure funnels through a design sweep — up to 15 designs
 × 14 workloads of independent, seed-deterministic simulation cells.
@@ -13,19 +13,19 @@ This package makes that sweep fast, repeatable, and crash-proof:
 * :class:`ResultCache` — content-addressed on-disk cache keyed by
   ``(Scale, design, workload, repro.__version__)``, surviving across
   processes and CLI invocations, with hit/miss/store/corruption
-  accounting (a damaged entry is a miss, never an error);
-* :class:`SweepJournal` — append-only JSONL checkpoint next to the
-  cache; an interrupted sweep resumes and replays only missing cells,
-  bit-identical to an uninterrupted run;
+  accounting (a damaged entry is a miss, never an error); it is also
+  the sweep checkpoint: each cell is stored as it finishes, so
+  re-running an interrupted sweep on the same cache simulates only
+  the missing cells, bit-identical to an uninterrupted run;
 * :class:`FaultPlan` — seed-driven injection of worker crashes,
   hangs, transient exceptions, and cache corruption (also via
   ``$REPRO_FAULTS``), keeping the tolerance machinery under test;
 * :class:`SweepMetrics` — cells completed, wall time per cell, worker
-  utilisation, cache hit rate, retry/timeout/crash/resume counters —
+  utilisation, cache hit rate, retry/timeout/crash counters —
   surfaced by the CLI's ``[runtime]`` summary line.
 
 See docs/RUNTIME.md for the cache-key scheme, the determinism
-guarantee, retry semantics, and the journal format.
+guarantee, retry semantics, and interrupted sweeps.
 """
 
 from repro.runtime.arena import (
@@ -59,7 +59,6 @@ from repro.runtime.faults import (
     apply_fault,
     corrupt_cache_entry,
 )
-from repro.runtime.journal import SweepJournal
 from repro.runtime.metrics import (
     CellStat,
     SweepMetrics,
@@ -85,7 +84,6 @@ __all__ = [
     "SweepEvents",
     "SweepExecutor",
     "SweepJobError",
-    "SweepJournal",
     "SweepMetrics",
     "SweepResults",
     "TraceArena",

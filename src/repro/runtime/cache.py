@@ -210,9 +210,11 @@ class ResultCache:
         }
 
     def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
+        """Delete every entry, and any staging file a writer killed
+        mid-:meth:`put` left behind (:meth:`get` never reads those);
+        returns how many entries were removed."""
         entries = self._entries()
-        for path in entries:
+        for path in entries + list(self.root.glob("??/.*.tmp")):
             path.unlink(missing_ok=True)
         return len(entries)
 

@@ -1,10 +1,9 @@
 """Fault-tolerant sweep executor: cache front-end, supervised
-process-pool back-end, checkpoint/resume journal.
+process-pool back-end.
 
 :class:`SweepExecutor` fans the independent ``(design, workload)``
 cells of a design sweep out across worker processes, front-ended by an
-optional on-disk :class:`~repro.runtime.cache.ResultCache` and
-checkpointed into a :class:`~repro.runtime.journal.SweepJournal`.
+optional on-disk :class:`~repro.runtime.cache.ResultCache`.
 ``jobs=1`` is the degenerate serial case (no processes, everything
 inline), so results are bit-identical at any worker count — cells
 never share state, and each is seed-deterministic.
@@ -26,9 +25,9 @@ Fault tolerance (see docs/RUNTIME.md):
 * **graceful degradation** — after ``degrade_after`` worker-level
   failures (crashes + timeouts) in one sweep, the executor stops
   spawning processes and finishes the sweep serially inline;
-* **checkpoint/resume** — with ``journal_dir`` set, completed cells
-  are journalled as they finish and an interrupted sweep replays only
-  the missing cells on restart, merging bit-identically;
+* **checkpoint** — with a cache, each cell is stored the moment it
+  finishes, so re-running an interrupted sweep on the same cache
+  simulates only the cells it did not finish, merging bit-identically;
 * **deterministic fault injection** — a
   :class:`~repro.runtime.faults.FaultPlan` (or ``$REPRO_FAULTS``)
   injects crashes/hangs/transient errors into workers and corruption
@@ -43,7 +42,7 @@ Fault tolerance (see docs/RUNTIME.md):
 The module-level default executor (serial, no disk cache) is what
 :func:`repro.experiments.runner.run_design_sweep` uses when not handed
 one explicitly; the CLI builds its own from ``--jobs``/``--cache-dir``
-/``--timeout``/``--retries``/``--resume``.
+/``--timeout``/``--retries``.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass
 from multiprocessing import connection, get_context
-from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.runtime.arena import TraceArena
@@ -69,13 +67,11 @@ from repro.runtime.faults import (
     apply_fault,
     corrupt_cache_entry,
 )
-from repro.runtime.journal import SweepJournal
 from repro.runtime.metrics import (
     FAILURE_CRASH,
     FAILURE_ERROR,
     FAILURE_TIMEOUT,
     SOURCE_DISK,
-    SOURCE_JOURNAL,
     SOURCE_SIMULATED,
     CellStat,
     ProgressCallback,
@@ -177,12 +173,12 @@ class SweepExecutor:
     :meth:`run` unretried — an audit failure is deterministic,
     retrying cannot fix it).
 
-    Events never touch the result cache or the journal: the cached/
-    journalled key and payload are exactly the telemetry-off ones, so
-    warm replays and resumes stay bit-identical — but cells served
-    from disk or journal contribute **no events** (re-run with the
-    cache disabled to trace them).  Failed attempts also contribute no
-    events; only :class:`JobRetryEvent` marks them on the parent bus.
+    Events never touch the result cache: the cached key and payload
+    are exactly the telemetry-off ones, so warm replays stay
+    bit-identical — but cells served from disk contribute **no
+    events** (re-run with the cache disabled to trace them).  Failed
+    attempts also contribute no events; only :class:`JobRetryEvent`
+    marks them on the parent bus.
     """
 
     def __init__(
@@ -198,7 +194,6 @@ class SweepExecutor:
         jitter: float = 0.25,
         degrade_after: int = DEFAULT_DEGRADE_AFTER,
         faults: Optional[FaultPlan | str] = FAULTS_FROM_ENV,
-        journal_dir: Optional[Path | str] = None,
         arena: bool = True,
         arena_budget: Optional[int] = None,
     ) -> None:
@@ -233,9 +228,6 @@ class SweepExecutor:
         self.jitter = jitter
         self.degrade_after = degrade_after
         self.faults = faults
-        self.journal_dir = (
-            Path(journal_dir) if journal_dir is not None else None
-        )
         #: Publish a trace arena per sweep (fall back to per-cell
         #: generation when the estimated payload exceeds
         #: ``arena_budget`` bytes).
@@ -252,17 +244,14 @@ class SweepExecutor:
 
     def run(self, scale, designs: Sequence[str]) -> SweepResults:
         """Simulate every ``(design, workload)`` cell of ``scale``,
-        serving what it can from the journal and the disk cache."""
+        serving what it can from the disk cache."""
         self._check_designs(designs)
         cells = [
             (design, workload)
             for design in designs
             for workload in scale.benchmarks
         ]
-        journal: Optional[SweepJournal] = None
-        if self.journal_dir is not None:
-            journal = SweepJournal.for_sweep(self.journal_dir, scale, designs)
-        return self._run_cells(scale, cells, journal)
+        return self._run_cells(scale, cells)
 
     def run_cells(
         self, scale, cells: Sequence[Tuple[str, str]]
@@ -272,9 +261,9 @@ class SweepExecutor:
         The batching hook used by :mod:`repro.serve` dispatch batches:
         unlike :meth:`run`, the grid is not the ``designs ×
         scale.benchmarks`` cross product but exactly ``cells`` (order
-        preserved, duplicates rejected).  Cache, arena, journal, fault
-        and retry semantics are identical — a cell's result is
-        bit-identical whichever entry point ran it.
+        preserved, duplicates rejected).  Cache, arena, fault and retry
+        semantics are identical — a cell's result is bit-identical
+        whichever entry point ran it.
         """
         seen = set()
         for cell in cells:
@@ -282,10 +271,7 @@ class SweepExecutor:
                 raise ValueError(f"duplicate cell {cell!r}")
             seen.add(cell)
         self._check_designs(sorted({design for design, _ in cells}))
-        journal: Optional[SweepJournal] = None
-        if self.journal_dir is not None:
-            journal = SweepJournal.for_cells(self.journal_dir, scale, cells)
-        return self._run_cells(scale, list(cells), journal)
+        return self._run_cells(scale, list(cells))
 
     @staticmethod
     def _check_designs(designs: Sequence[str]) -> None:
@@ -296,20 +282,12 @@ class SweepExecutor:
                 raise KeyError(f"unknown design {design!r}")
 
     def _run_cells(
-        self,
-        scale,
-        cells: List[Tuple[str, str]],
-        journal: Optional[SweepJournal],
+        self, scale, cells: List[Tuple[str, str]]
     ) -> SweepResults:
         start = time.perf_counter()
         results: SweepResults = {}
         pending: List[Tuple[str, str]] = []
         done = 0
-
-        recovered: Dict[Tuple[str, str], SimulationResult] = {}
-        if journal is not None:
-            recovered = journal.load()
-            journal.start()
 
         fault_map = (
             self.faults.materialise(cells) if self.faults is not None else {}
@@ -325,17 +303,6 @@ class SweepExecutor:
         arena: Optional[TraceArena] = None
         try:
             for design, workload in cells:
-                if (design, workload) in recovered:
-                    results[(design, workload)] = recovered[
-                        (design, workload)
-                    ]
-                    done += 1
-                    self._record(
-                        CellStat(design, workload, 0.0, SOURCE_JOURNAL),
-                        done,
-                        len(cells),
-                    )
-                    continue
                 cached = (
                     self.cache.get(scale, design, workload)
                     if self.cache is not None
@@ -343,8 +310,6 @@ class SweepExecutor:
                 )
                 if cached is not None:
                     results[(design, workload)] = cached
-                    if journal is not None:
-                        journal.record(design, workload, 0.0, cached)
                     done += 1
                     self._record(
                         CellStat(design, workload, 0.0, SOURCE_DISK),
@@ -356,7 +321,7 @@ class SweepExecutor:
 
             if pending:
                 # Surface which replay kernel each simulated cell will
-                # resolve to (cache/journal hits never pick a kernel).
+                # resolve to (cache hits never pick a kernel).
                 from repro.experiments.designs import kernel_decision
 
                 config = scale.config()
@@ -383,10 +348,9 @@ class SweepExecutor:
                 scale, pending, fault_map, manifest
             ):
                 results[(design, workload)] = result
+                # Put before on_cell: the cache is the sweep checkpoint.
                 if self.cache is not None:
                     self.cache.put(scale, design, workload, result)
-                if journal is not None:
-                    journal.record(design, workload, seconds, result)
                 if events:
                     self._merge_events(design, workload, events)
                 if manifest is not None:
@@ -397,12 +361,6 @@ class SweepExecutor:
                     done,
                     len(cells),
                 )
-        except BaseException:
-            # Interrupted (including KeyboardInterrupt/kill-adjacent
-            # exceptions): keep the journal for resume.
-            if journal is not None:
-                journal.close()
-            raise
         finally:
             # The publisher owns the arena: drop it on every exit path
             # (completion, failure, interrupt) so no trace set outlives
@@ -410,8 +368,6 @@ class SweepExecutor:
             if arena is not None:
                 arena.dispose()
 
-        if journal is not None:
-            journal.discard()  # completed: the journal is obsolete
         self.metrics.record_sweep(time.perf_counter() - start)
         return results
 

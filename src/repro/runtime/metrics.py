@@ -9,14 +9,13 @@ capacity ratio) still reports one coherent summary.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 #: Where a finished cell's result came from.
 SOURCE_SIMULATED = "simulated"
 SOURCE_DISK = "disk-cache"
-SOURCE_MEMORY = "memory"
-SOURCE_JOURNAL = "journal"
 
 #: Failure kinds recorded by :meth:`SweepMetrics.record_failure`.
 FAILURE_CRASH = "crash"
@@ -35,7 +34,7 @@ class CellStat:
     design: str
     workload: str
     seconds: float
-    source: str  # SOURCE_SIMULATED | SOURCE_DISK | SOURCE_MEMORY
+    source: str  # SOURCE_SIMULATED | SOURCE_DISK
 
 
 @dataclass
@@ -114,12 +113,15 @@ class SweepMetrics:
 
     @property
     def memory_hits(self) -> int:
-        return self._count(SOURCE_MEMORY)
+        """Deprecated, always 0: no executor path serves a cell from
+        memory (the ``run_design_sweep`` memo records no cells)."""
+        return _retired("memory_hits", "no cell is served from memory")
 
     @property
     def resumed(self) -> int:
-        """Cells recovered from an interrupted sweep's journal."""
-        return self._count(SOURCE_JOURNAL)
+        """Deprecated, always 0: a re-run interrupted sweep counts its
+        finished cells in :attr:`disk_hits`."""
+        return _retired("resumed", "read disk_hits instead")
 
     @property
     def failures(self) -> int:
@@ -168,7 +170,6 @@ class SweepMetrics:
             f" retries={self.retries}"
             f" timeouts={self.timeouts}"
             f" crashes={self.crashes}"
-            f" resumed={self.resumed}"
         )
         if self.arena_bytes:
             line += (
@@ -183,6 +184,16 @@ class SweepMetrics:
         if self.degraded:
             line += " degraded=serial"
         return line
+
+
+def _retired(name: str, hint: str) -> int:
+    warnings.warn(
+        f"SweepMetrics.{name} is deprecated and always 0 ({hint}); "
+        "it will be removed in 1.6.0",
+        DeprecationWarning,
+        stacklevel=3,
+    )
+    return 0
 
 
 def print_progress(stat: CellStat, done: int, total: int) -> None:
@@ -203,8 +214,6 @@ __all__ = [
     "FAILURE_TIMEOUT",
     "ProgressCallback",
     "SOURCE_DISK",
-    "SOURCE_JOURNAL",
-    "SOURCE_MEMORY",
     "SOURCE_SIMULATED",
     "SweepMetrics",
     "print_progress",

@@ -1,21 +1,20 @@
 """Drain checkpoint: the unserved queue, persisted across restarts.
 
 On SIGTERM the server finishes its in-flight batch, then writes every
-still-queued request to a :mod:`repro.runtime.journal`-style JSONL
-file — a ``{"kind": "serve-queue", ...}`` header restating the wire
-format, then one ``{"kind": "job", ...}`` line per queued request.  A
-restarted server pointed at the same directory loads the file, deletes
-it, and re-queues the requests; job digests are recomputed from the
-request identity, so a client that was told "checkpointed, poll
-``/v1/jobs/<id>``" finds its job under the same id.
+still-queued request to a JSONL file — a ``{"kind": "serve-queue",
+...}`` header restating the wire format, then one ``{"kind": "job",
+...}`` line per queued request.  A restarted server pointed at the
+same directory loads the file, deletes it, and re-queues the requests;
+job digests are recomputed from the request identity, so a client
+that was told "checkpointed, poll ``/v1/jobs/<id>``" finds its job
+under the same id.
 
-The same torn-tail tolerance as the sweep journal applies on load:
-parsing stops at the first line that is incomplete or malformed (a
-kill mid-write costs the tail, never the file), and a header from a
-different wire version discards the whole checkpoint rather than
-guessing at its meaning.  Unlike the sweep journal the file is written
+Loading tolerates a torn tail: parsing stops at the first line that
+is incomplete or malformed (a kill mid-write costs the tail, never the
+file), and a header from a different wire version discards the whole
+checkpoint rather than guessing at its meaning.  The file is written
 in one shot at drain time (staged + ``os.replace``), not appended
-per-event — the queue is only ever persisted whole.
+per job — the queue is only ever persisted whole.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Centralises what the runtime/arena/serve suites used to re-declare
 ad hoc: the canonical tiny execution scales, deterministic RNG
-seeding, and the temporary cache/journal/golden directory layout a
+seeding, and the temporary cache/golden directory layout a
 sweep-runtime test needs.  Test modules import the helpers as
 ``from tests.conftest import tiny_scale`` (the ``tests`` package has an
 ``__init__.py`` precisely so this works) and take the fixtures by name.
@@ -83,22 +83,20 @@ class RuntimeDirs:
     and isolated per test."""
 
     cache: Path
-    journal: Path
     goldens: Path
     scratch: Path
 
 
 @pytest.fixture
 def runtime_dirs(tmp_path: Path) -> RuntimeDirs:
-    """Separate cache/journal/golden/scratch dirs under ``tmp_path``
+    """Separate cache/golden/scratch dirs under ``tmp_path``
     (sharing one directory hides key collisions between subsystems)."""
     dirs = RuntimeDirs(
         cache=tmp_path / "cache",
-        journal=tmp_path / "journal",
         goldens=tmp_path / "goldens",
         scratch=tmp_path / "scratch",
     )
-    for path in (dirs.cache, dirs.journal, dirs.goldens, dirs.scratch):
+    for path in (dirs.cache, dirs.goldens, dirs.scratch):
         path.mkdir()
     return dirs
 

@@ -163,17 +163,26 @@ class TestFaultToleranceFlags:
         assert "Figure 16" in captured.out
         assert "retries=1" in captured.err
 
-    def test_resume_flag_completes_and_discards_journal(
-        self, capsys, tmp_path
-    ):
+    def test_resume_flag_is_a_deprecated_noop(self, capsys, tmp_path):
+        flags = ["fig16", *SMOKE_FLAGS, "--cache-dir", str(tmp_path)]
+        assert main([*flags, "--resume"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning: --resume is deprecated") == 1
+        assert "resumed=" not in err
+        assert not list(tmp_path.rglob("*.jsonl"))  # no journal
+        # The cache stayed on, so a re-run is served entirely from it.
+        assert main([*flags, "--resume"]) == 0
+        assert "simulated=0" in capsys.readouterr().err
+
+    def test_resume_with_no_cache_is_a_usage_error(self, capsys, tmp_path):
         code = main(
-            ["fig16", *SMOKE_FLAGS, "--resume",
+            ["fig16", *SMOKE_FLAGS, "--resume", "--no-cache",
              "--cache-dir", str(tmp_path)]
         )
-        assert code == 0
-        assert "resumed=0" in capsys.readouterr().err
-        # The sweep completed, so no interrupted-sweep marker remains.
-        assert not list(tmp_path.rglob("sweep-*.jsonl"))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--no-cache" in captured.err
+        assert "Figure 16" not in captured.out
 
 
 class TestCacheSubcommand:

@@ -13,6 +13,7 @@ import inspect
 import shutil
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -183,6 +184,20 @@ class TestFrozenApiSurface:
             "Tuple", "Union", "annotations", "dataclass", "field",
         }
         assert public - contract <= allowed_extras
+
+
+class TestDeprecatedMetrics:
+    @pytest.mark.parametrize("name", ("memory_hits", "resumed"))
+    def test_retired_counters_warn_and_read_zero(self, name):
+        metrics = api.SweepMetrics()
+        with pytest.warns(DeprecationWarning, match=f"SweepMetrics.{name}"):
+            assert getattr(metrics, name) == 0
+
+    def test_summary_reads_no_retired_counter(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            line = api.SweepMetrics().summary()
+        assert "resumed=" not in line
 
 
 class TestApiTypeChecks:

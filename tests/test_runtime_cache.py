@@ -281,6 +281,24 @@ class TestEvictionAndMaintenance:
         assert cache.clear() == 1
         assert cache.info()["entries"] == 0
 
+    def test_clear_removes_orphaned_staging_files(self, tmp_path, result):
+        """A writer killed between staging and ``os.replace`` leaves its
+        ``.tmp`` file behind: ``get`` never reads it, ``clear`` deletes
+        it without counting it as an entry."""
+        cache = ResultCache(tmp_path)
+        path = cache.entry_path(TINY_SCALE, "PoM", "mcf")
+        path.parent.mkdir(parents=True)
+        stray = path.with_name(f".{path.stem}.{'0' * 32}.tmp")
+        stray.write_text(json.dumps({"result": result.to_dict()}))
+        assert cache.get(TINY_SCALE, "PoM", "mcf") is None
+        cache.put(TINY_SCALE, "PoM", "mcf", result)
+        hit = cache.get(TINY_SCALE, "PoM", "mcf")
+        assert hit.to_dict() == result.to_dict()
+        assert cache.stats.corrupt == 0
+        assert cache.info()["entries"] == 1
+        assert cache.clear() == 1
+        assert list(path.parent.iterdir()) == []
+
     def test_default_dir_honours_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
         assert default_cache_dir() == tmp_path / "envcache"

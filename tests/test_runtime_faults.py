@@ -1,5 +1,5 @@
 """Deterministic fault injection, retry/timeout tolerance, graceful
-degradation, and checkpoint/resume for the sweep runtime.
+degradation, and interrupted-sweep re-runs for the sweep runtime.
 
 The load-bearing property, checked across both simulation kernels
 (PoM sweeps run batched, Alloy-Cache runs scalar): **any** fault plan
@@ -32,7 +32,6 @@ from repro.runtime import (
     ResultCache,
     SweepExecutor,
     SweepJobError,
-    SweepJournal,
     WorkerCrashError,
     apply_fault,
 )
@@ -381,109 +380,78 @@ class TestFaultAttributionWithReuse:
 
 
 class _Abort(BaseException):
-    """Simulated kill signal: not an Exception, so nothing but the
-    executor's journal-preserving cleanup may swallow it."""
+    """Simulated kill signal: not an Exception, so no retry or error
+    handling in the executor may swallow it."""
 
 
-def _abort_after(n):
+def _interrupt(cache_dir, k, **kwargs):
+    """Run the TINY sweep on a cache at ``cache_dir`` and abort it from
+    ``on_cell`` the moment ``k`` cells have finished."""
+
     def on_cell(stat, done, total):
-        if done == n:
+        if done == k:
             raise _Abort()
 
-    return on_cell
+    executor = SweepExecutor(
+        cache=ResultCache(cache_dir), on_cell=on_cell, **kwargs
+    )
+    with pytest.raises(_Abort):
+        executor.run(TINY, DESIGNS)
 
 
-class TestJournalResume:
-    def test_kill_and_resume_replays_only_missing_cells(
+class TestInterruptedSweepRerun:
+    """The result cache is the sweep checkpoint: a cell is stored
+    before it is reported, so re-running a killed sweep on the same
+    cache simulates only the cells it did not finish."""
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_killed_sweep_reruns_only_missing_cells(
+        self, tmp_path, reference, jobs
+    ):
+        _interrupt(tmp_path, 2, jobs=jobs, faults=None)
+        # No worker outlives the interrupted sweep.
+        assert multiprocessing.active_children() == []
+
+        rerun = SweepExecutor(
+            jobs=jobs, cache=ResultCache(tmp_path), faults=None
+        )
+        results = rerun.run(TINY, DESIGNS)
+        assert rerun.metrics.disk_hits == 2
+        assert rerun.metrics.simulated == len(reference) - 2
+        assert {c: r.to_dict() for c, r in results.items()} == reference
+
+    def test_truncated_entry_is_counted_corrupt_and_resimulated(
         self, tmp_path, reference
     ):
-        interrupted = SweepExecutor(
-            jobs=1,
-            faults=None,
-            journal_dir=tmp_path,
-            on_cell=_abort_after(2),
-        )
-        with pytest.raises(_Abort):
-            interrupted.run(TINY, DESIGNS)
-        journal = SweepJournal.for_sweep(tmp_path, TINY, DESIGNS)
-        assert journal.exists
+        _interrupt(tmp_path, 2, jobs=1, faults=None)
+        # A power loss can leave a published entry cut short.
+        cache = ResultCache(tmp_path)
+        entry = cache.entry_path(TINY, DESIGNS[0], TINY.benchmarks[0])
+        data = entry.read_bytes()
+        entry.write_bytes(data[: len(data) // 2])
 
-        resumed = SweepExecutor(jobs=1, faults=None, journal_dir=tmp_path)
-        results = resumed.run(TINY, DESIGNS)
-        assert resumed.metrics.resumed == 2
-        assert resumed.metrics.simulated == len(reference) - 2
-        assert "resumed=2" in resumed.metrics.summary()
-        assert {c: r.to_dict() for c, r in results.items()} == reference
-        # A completed sweep deletes its journal …
-        assert not journal.exists
-        # … so a third run re-simulates everything (no cache here).
-        fresh = SweepExecutor(jobs=1, faults=None, journal_dir=tmp_path)
-        fresh.run(TINY, DESIGNS)
-        assert fresh.metrics.resumed == 0
-
-    def test_torn_trailing_line_is_ignored(self, tmp_path, reference):
-        interrupted = SweepExecutor(
-            jobs=1,
-            faults=None,
-            journal_dir=tmp_path,
-            on_cell=_abort_after(2),
-        )
-        with pytest.raises(_Abort):
-            interrupted.run(TINY, DESIGNS)
-        journal = SweepJournal.for_sweep(tmp_path, TINY, DESIGNS)
-        # A kill mid-append leaves a torn half-record at the tail.
-        with journal.path.open("ab") as handle:
-            handle.write(b'{"kind": "cell", "design": "PoM", "work')
-
-        resumed = SweepExecutor(jobs=1, faults=None, journal_dir=tmp_path)
-        results = resumed.run(TINY, DESIGNS)
-        assert resumed.metrics.resumed == 2
+        rerun = SweepExecutor(jobs=1, cache=cache, faults=None)
+        results = rerun.run(TINY, DESIGNS)
+        assert cache.stats.corrupt == 1
+        assert rerun.metrics.disk_hits == 1
+        assert rerun.metrics.simulated == len(reference) - 1
         assert {c: r.to_dict() for c, r in results.items()} == reference
 
-    def test_foreign_journal_content_is_discarded(
-        self, tmp_path, reference
-    ):
-        journal = SweepJournal.for_sweep(tmp_path, TINY, DESIGNS)
-        journal.path.parent.mkdir(parents=True, exist_ok=True)
-        journal.path.write_text(
-            '{"kind": "sweep", "identity": {"something": "else"}}\n'
-        )
-        executor = SweepExecutor(jobs=1, faults=None, journal_dir=tmp_path)
-        results = executor.run(TINY, DESIGNS)
-        assert executor.metrics.resumed == 0
-        assert executor.metrics.simulated == len(reference)
-        assert {c: r.to_dict() for c, r in results.items()} == reference
-
-    def test_journal_files_are_sweep_specific(self, tmp_path):
-        a = SweepJournal.for_sweep(tmp_path, TINY, DESIGNS)
-        b = SweepJournal.for_sweep(tmp_path, TINY, DESIGNS[:1])
-        c = SweepJournal.for_sweep(tmp_path, SMOKE_SCALE, DESIGNS)
-        assert len({a.path, b.path, c.path}) == 3
-        assert all(p.path.name.startswith("sweep-") for p in (a, b, c))
-
-    def test_resume_composes_with_faults(self, tmp_path, reference):
-        """Interrupt a *faulted* sweep, resume under the same plan:
-        still byte-equal, still only the missing cells replayed."""
+    def test_rerun_composes_with_faults(self, tmp_path, reference):
+        """Interrupt a *faulted* sweep, re-run it under the same plan:
+        still byte-equal, still only the missing cells simulated."""
         plan = FaultPlan(seed=6, errors=2)
-        interrupted = SweepExecutor(
+        _interrupt(tmp_path, 2, jobs=1, faults=plan, retries=2, backoff=0.0)
+        rerun = SweepExecutor(
             jobs=1,
+            cache=ResultCache(tmp_path),
             faults=plan,
             retries=2,
             backoff=0.0,
-            journal_dir=tmp_path,
-            on_cell=_abort_after(2),
         )
-        with pytest.raises(_Abort):
-            interrupted.run(TINY, DESIGNS)
-        resumed = SweepExecutor(
-            jobs=1,
-            faults=plan,
-            retries=2,
-            backoff=0.0,
-            journal_dir=tmp_path,
-        )
-        results = resumed.run(TINY, DESIGNS)
-        assert resumed.metrics.resumed == 2
+        results = rerun.run(TINY, DESIGNS)
+        assert rerun.metrics.disk_hits == 2
+        assert rerun.metrics.simulated == len(reference) - 2
         assert {c: r.to_dict() for c, r in results.items()} == reference
 
 
