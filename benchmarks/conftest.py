@@ -1,14 +1,15 @@
 """Shared benchmark plumbing.
 
-Every benchmark regenerates one of the paper's tables or figures at
-``DEFAULT_SCALE`` (a proportionally scaled system preserving every
-Table I ratio) and prints the same rows/series the paper reports, with
-the paper's numbers alongside for comparison.  Runs are single-shot
-(``benchmark.pedantic(rounds=1)``) — the quantity of interest is the
-regenerated data, the wall-clock time is just bookkeeping.
+Every benchmark regenerates one of the paper's artefacts
+(``bench_paper.py``) or an ablation at ``DEFAULT_SCALE`` (a
+proportionally scaled system preserving every Table I ratio) and
+prints its rows with the paper's numbers alongside.  Runs are
+single-shot (``benchmark.pedantic(rounds=1)``) — the quantity of
+interest is the regenerated data, the wall-clock time is just
+bookkeeping.
 
 Sweeps are memoised per (scale, design) by
-:mod:`repro.experiments.runner`, so the five main-results figures share
+:mod:`repro.experiments.runner`, so the main-results figures share
 one simulation sweep within a pytest session.
 """
 

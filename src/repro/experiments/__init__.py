@@ -2,31 +2,9 @@
 
 Every runner returns structured rows *and* can print the same
 table/series the paper reports, via :mod:`repro.experiments.reporting`.
-The benchmarks in ``benchmarks/`` are thin wrappers over these runners;
-tests exercise them at smoke scale.
-
-Runners (paper artefact -> function):
-
-========  =====================================================
-Table I   :func:`repro.experiments.tables.run_table1`
-Table II  :func:`repro.experiments.tables.run_table2`
-Fig 2a    :func:`repro.experiments.os_figures.run_fig2a`
-Fig 2b    :func:`repro.experiments.os_figures.run_fig2b`
-Fig 2c    :func:`repro.experiments.os_figures.run_fig2c`
-Fig 3     :func:`repro.experiments.longrun_figures.run_fig3`
-Fig 4     :func:`repro.experiments.longrun_figures.run_fig4`
-Fig 5     :func:`repro.experiments.longrun_figures.run_fig5`
-Fig 15    :func:`repro.experiments.figures.run_fig15`
-Fig 16    :func:`repro.experiments.figures.run_fig16`
-Fig 17    :func:`repro.experiments.figures.run_fig17`
-Fig 18    :func:`repro.experiments.figures.run_fig18`
-Fig 19    :func:`repro.experiments.figures.run_fig19`
-Fig 20    :func:`repro.experiments.figures.run_fig20`
-Fig 21    :func:`repro.experiments.figures.run_fig21`
-Fig 22    :func:`repro.experiments.figures.run_fig22`
-Fig 23    :func:`repro.experiments.figures.run_fig23`
-§VI-F     :func:`repro.experiments.overhead.run_overhead_analysis`
-========  =====================================================
+:mod:`repro.experiments.artefacts` registers each runner with its CLI
+id, renderer, paper numbers and shape checks;
+``python -m repro.experiments list`` prints the ids.
 """
 
 from repro.experiments.designs import REGISTRY, DesignRegistry, DesignSpec

@@ -7,86 +7,23 @@ Regenerate any of the paper's tables/figures from a shell::
     python -m repro.experiments fig18 --accesses 3000 --warmup 6000
     python -m repro.experiments all
 
-Figures run at the benchmark default scale unless overridden.
-
-Sweep execution goes through :mod:`repro.runtime`:
-
-``--jobs N``
-    Fan the independent (design, workload) cells out across ``N``
-    worker processes (default 1 = serial; results are bit-identical at
-    any worker count).
-``--cache-dir PATH``
-    Where the persistent result cache lives (default:
-    ``$REPRO_CACHE_DIR`` or ``~/.cache/repro/sweeps``).  A warm cache
-    serves repeat runs without re-simulating — the ``[runtime]``
-    summary printed after each run shows cells simulated vs served.
-``--no-cache``
-    Disable the disk cache for this invocation.
-``--progress``
-    Print one stderr line per completed sweep cell.
-``--arena`` / ``--no-arena``
-    Compile the workload grid's traces once per sweep into an arena
-    that every cell replays, pooled workers from the memory they
-    inherit (default on; results are bit-identical either way — the
-    ``[runtime]`` trailer's ``arena-bytes=``/``arena-hits=`` fields
-    show it working).
-
-Fault tolerance (see docs/RUNTIME.md):
-
-``--timeout SECONDS``
-    Per-job wall-clock limit; an overdue worker is terminated and its
-    cell retried (pooled execution only — serial cells cannot be
-    preempted).
-``--retries N``
-    Bounded retries per cell after crashes, timeouts, or transient
-    exceptions (default 2), with exponential backoff.  A cell that
-    still fails raises ``SweepJobError`` carrying (design, workload,
-    attempt).
-``--resume``
-    Deprecated no-op (warns once on stderr): the result cache, on by
-    default, is the sweep checkpoint — re-running an interrupted sweep
-    on the same ``--cache-dir`` simulates only the cells it did not
-    finish, bit-identical to an uninterrupted run.  With
-    ``--no-cache`` it is a usage error, since nothing would checkpoint.
-
-``$REPRO_FAULTS`` (e.g. ``seed=7,crash=2,hang=1,corrupt=1,retries=4,
-timeout=5``) injects deterministic faults into the sweep — the CI
-fault matrix runs on exactly this hook.  The ``[runtime]`` trailer
-reports ``retries=/timeouts=/crashes=`` counters.
-
-Telemetry (see docs/TELEMETRY.md) hangs off the same executor:
-
-``--trace`` / ``--trace-out PATH``
-    Capture every simulated cell's event stream and write a merged
-    trace — Chrome-trace JSON by default (open in ``chrome://tracing``
-    or Perfetto), JSONL when ``PATH`` ends in ``.jsonl``.  Cells served
-    from the result cache are not re-simulated and contribute no
-    events; combine with ``--no-cache`` to trace everything.
-``--audit``
-    Attach the live SRRT invariant auditor to every simulated cell;
-    the run aborts with the offending event window on violation.
-
-The cache itself is managed with the ``cache`` subcommand::
+Figures run at the benchmark default scale unless overridden.  The
+experiment ids, and what each prints, come from
+:mod:`repro.experiments.artefacts`.  ``--help`` lists every option.
+Sweep execution (``--jobs``, the result cache, ``--timeout``,
+``--retries``, ``$REPRO_FAULTS``) is described in docs/RUNTIME.md,
+``--trace`` and ``--audit`` in docs/TELEMETRY.md, and the other
+subcommands in docs/RUNTIME.md, docs/SERVING.md and docs/TESTING.md::
 
     python -m repro.experiments cache info
-    python -m repro.experiments cache clear
-
-The long-running simulation service (see docs/SERVING.md) starts with
-the ``serve`` subcommand and drains gracefully on SIGTERM::
-
     python -m repro.experiments serve --port 8642 --jobs 4
-
-The conformance check (see docs/TESTING.md) verifies a seeded sample
-of cells against the committed golden digests, runs every execution
-path differentially, and writes ``CHECK_report.json``::
-
     python -m repro.experiments check --sample 6 --seed 0
-    python -m repro.experiments check --bless --note "why semantics moved"
 
 Exit codes are uniform across subcommands: ``0`` success, ``1``
 failure (digest mismatch, failed sweep cell, invariant violation),
-``2`` usage error (unknown experiment/action, missing ``--note``,
-``--resume`` with ``--no-cache``).
+``2`` usage error (unknown experiment/action, an option that only
+another subcommand reads, missing ``--note``, ``--resume`` with
+``--no-cache``).
 """
 
 from __future__ import annotations
@@ -94,25 +31,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from typing import Callable, Dict
 
-from repro.experiments.figures import (
-    run_fig15,
-    run_fig16,
-    run_fig17,
-    run_fig18,
-    run_fig19,
-    run_fig20,
-    run_fig21,
-    run_fig22,
-    run_fig23,
-)
-from repro.experiments.longrun_figures import run_fig3, run_fig4, run_fig5
-from repro.experiments.os_figures import run_fig2a, run_fig2b, run_fig2c
-from repro.experiments.overhead import run_overhead_analysis
-from repro.experiments.reporting import format_series
-from repro.experiments.runner import DEFAULT_SCALE, Scale
-from repro.experiments.tables import run_table1, run_table2
+from repro.experiments.artefacts import ARTEFACTS
+from repro.experiments.runner import DEFAULT_SCALE
 from repro.runtime import (
     ResultCache,
     SweepExecutor,
@@ -121,75 +42,16 @@ from repro.runtime import (
 )
 from repro.telemetry import EventBus, write_trace
 
-
-def _scaled(runner):
-    def run(scale: Scale, executor: SweepExecutor) -> None:
-        print(runner(scale, executor=executor).render())
-
-    return run
-
-
-def _unscaled(runner):
-    def run(scale: Scale, executor: SweepExecutor) -> None:  # noqa: ARG001
-        print(runner().render())
-
-    return run
-
-
-def _fig2c(scale: Scale, executor: SweepExecutor) -> None:  # noqa: ARG001
-    timeline, result = run_fig2c(scale)
-    print(
-        format_series(
-            timeline.times,
-            {
-                "migrated": timeline.series("migrated"),
-                "hit_rate": timeline.series("hit_rate"),
-            },
-            title=result.figure,
-        )
+#: Options that one kind of invocation reads ("run" is an experiment id
+#: or 'all'); any other invocation rejects them rather than ignore them.
+_OWNERS = {
+    dest: owner
+    for owner, dests in (
+        ("run", "accesses warmup fast_mb progress trace trace_out audit"),
+        ("check", "out sample seed bless note goldens fuzz"),
+        ("serve", "host port max_queue max_batch hold"),
     )
-
-
-def _fig3(scale: Scale, executor: SweepExecutor) -> None:  # noqa: ARG001
-    timeline, result = run_fig3()
-    print(
-        format_series(
-            timeline.times,
-            {"free_mb": timeline.series("free_mb")},
-            title=result.figure,
-            max_points=30,
-        )
-    )
-
-
-def _overhead(scale: Scale, executor: SweepExecutor) -> None:  # noqa: ARG001
-    report = run_overhead_analysis()
-    print("Section VI-F: ISA-Alloc/ISA-Free overhead")
-    print(f"  ISA events : {report.isa_events / 1e6:,.1f}M (paper 242.8M)")
-    print(f"  swap time  : {report.swap_seconds:,.0f}s (paper 2071.89s)")
-    print(f"  total time : {report.total_seconds / 3600:,.1f}h (paper 53.8h)")
-    print(f"  overhead   : {report.overhead_percent:.2f}% (paper 1.06%)")
-
-
-EXPERIMENTS: Dict[str, Callable[[Scale, SweepExecutor], None]] = {
-    "table1": _unscaled(run_table1),
-    "table2": _unscaled(run_table2),
-    "fig2a": _scaled(run_fig2a),
-    "fig2b": _scaled(run_fig2b),
-    "fig2c": _fig2c,
-    "fig3": _fig3,
-    "fig4": _unscaled(run_fig4),
-    "fig5": _unscaled(run_fig5),
-    "fig15": _scaled(run_fig15),
-    "fig16": _scaled(run_fig16),
-    "fig17": _scaled(run_fig17),
-    "fig18": _scaled(run_fig18),
-    "fig19": _scaled(run_fig19),
-    "fig20": _scaled(run_fig20),
-    "fig21": _scaled(run_fig21),
-    "fig22": _scaled(run_fig22),
-    "fig23": _scaled(run_fig23),
-    "overhead": _overhead,
+    for dest in dests.split()
 }
 
 
@@ -446,7 +308,36 @@ def main(argv: list[str] | None = None) -> int:
             "dispatch them (maintenance / drain testing)"
         ),
     )
-    args = parser.parse_args(argv)
+    # An option pre-set on the namespace keeps argparse from filling in
+    # its default, so an owned option still holding ``unset`` was not
+    # given on the command line.
+    unset = object()
+    args = parser.parse_args(
+        argv, namespace=argparse.Namespace(**dict.fromkeys(_OWNERS, unset))
+    )
+    command = args.experiment
+    if command not in ("list", "cache", "check", "serve"):
+        command = "run"
+    # Owned options given on the command line: check and serve pass
+    # them on as keywords and leave the rest at their own defaults.
+    given = {}
+    for dest, owner in _OWNERS.items():
+        value = getattr(args, dest)
+        if value is unset:
+            setattr(args, dest, parser.get_default(dest))
+            continue
+        if owner != command:
+            where = (
+                "experiment runs" if owner == "run"
+                else f"the {owner!r} subcommand"
+            )
+            print(
+                f"error: --{dest.replace('_', '-')} belongs to {where}, "
+                f"not {args.experiment!r}",
+                file=sys.stderr,
+            )
+            return 2
+        given[dest] = value
     if args.resume:
         if args.no_cache:
             print(
@@ -466,53 +357,38 @@ def main(argv: list[str] | None = None) -> int:
         return _run_cache_command(args.action, ResultCache(cache_dir))
 
     if args.experiment == "check":
-        from repro.check import DEFAULT_SAMPLE, run_check_command
-        from repro.check.runner import DEFAULT_FUZZ
+        from repro.check import run_check_command
 
-        return run_check_command(
-            sample=args.sample if args.sample is not None else DEFAULT_SAMPLE,
-            seed=args.seed,
-            bless=args.bless,
-            note=args.note,
-            goldens=args.goldens,
-            out=args.out,
-            jobs=args.jobs,
-            fuzz=args.fuzz if args.fuzz is not None else DEFAULT_FUZZ,
-        )
+        return run_check_command(jobs=args.jobs, **given)
 
     if args.experiment == "serve":
-        from repro.serve import DEFAULT_HOST, DEFAULT_PORT, SimServer
-        from repro.serve.dispatcher import DEFAULT_MAX_BATCH
-        from repro.serve.scheduler import DEFAULT_MAX_QUEUE
+        from repro.serve import SimServer
 
         server = SimServer(
-            host=args.host if args.host is not None else DEFAULT_HOST,
-            port=args.port if args.port is not None else DEFAULT_PORT,
             jobs=args.jobs,
             cache=None if args.no_cache else ResultCache(cache_dir),
             checkpoint_dir=cache_dir,
-            max_queue=(
-                args.max_queue
-                if args.max_queue is not None
-                else DEFAULT_MAX_QUEUE
-            ),
-            max_batch=(
-                args.max_batch
-                if args.max_batch is not None
-                else DEFAULT_MAX_BATCH
-            ),
-            hold=args.hold,
             timeout=args.timeout,
             retries=args.retries,
             arena=args.arena,
+            **given,
         )
         server.run()
         return 0
 
     if args.experiment == "list":
-        for name in EXPERIMENTS:
+        for name in ARTEFACTS:
             print(name)
         return 0
+
+    artefact = ARTEFACTS.get(args.experiment)
+    if artefact is None and args.experiment != "all":
+        known = ", ".join(ARTEFACTS)
+        print(
+            f"unknown experiment {args.experiment!r}; known: {known}",
+            file=sys.stderr,
+        )
+        return 2
 
     # A fresh invocation answers from the *disk* cache, never from a
     # stale in-process memo (which only exists when main() is called
@@ -562,29 +438,15 @@ def main(argv: list[str] | None = None) -> int:
     from repro.runtime import SweepJobError
     from repro.telemetry import InvariantViolation
 
-    if args.experiment == "all":
-        try:
-            for name, runner in EXPERIMENTS.items():
-                print(f"==== {name} ====")
-                runner(scale, executor)
-                print()
-        except (SweepJobError, InvariantViolation) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            report_runtime()
-            return 1
-        report_runtime()
-        return 0
-
-    runner = EXPERIMENTS.get(args.experiment)
-    if runner is None:
-        known = ", ".join(EXPERIMENTS)
-        print(
-            f"unknown experiment {args.experiment!r}; known: {known}",
-            file=sys.stderr,
-        )
-        return 2
+    run_all = args.experiment == "all"
+    selected = list(ARTEFACTS.values()) if run_all else [artefact]
     try:
-        runner(scale, executor)
+        for artefact in selected:
+            if run_all:
+                print(f"==== {artefact.id} ====")
+            print(artefact.render(artefact.run(scale, executor)))
+            if run_all:
+                print()
     except (SweepJobError, InvariantViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         report_runtime()

@@ -226,63 +226,26 @@ for _spec in (
 ):
     REGISTRY.register(_spec)
 
-#: The four hardware designs of Figures 15-17 and 19.
-_HW = ("Alloy-Cache", "PoM", "Chameleon", "Chameleon-Opt")
+# Per-figure line-ups, in plot order.
+_BASELINES = ("baseline_20GB_DDR3", "baseline_24GB_DDR3")
+_CHAMELEONS = ("Chameleon", "Chameleon-Opt")
+_AUTONUMA = ("autoNUMA_70percent", "autoNUMA_80percent", "autoNUMA_90percent")
 
 REGISTRY.define_figure("fig2a", ("numaAware",))
+REGISTRY.define_figure("fig2b", _AUTONUMA)
+REGISTRY.define_figure("fig15", ("Alloy-Cache", "PoM") + _CHAMELEONS)
+REGISTRY.define_figure("fig16", _CHAMELEONS)
+REGISTRY.define_figure("fig17", ("PoM",) + _CHAMELEONS)
 REGISTRY.define_figure(
-    "fig2b",
-    ("autoNUMA_70percent", "autoNUMA_80percent", "autoNUMA_90percent"),
+    "fig18", _BASELINES + ("Alloy-Cache", "PoM") + _CHAMELEONS
 )
-REGISTRY.define_figure("fig15", _HW)
-REGISTRY.define_figure("fig16", ("Chameleon", "Chameleon-Opt"))
-REGISTRY.define_figure("fig17", ("PoM", "Chameleon", "Chameleon-Opt"))
+REGISTRY.define_figure("fig19", ("PoM",) + _CHAMELEONS)
 REGISTRY.define_figure(
-    "fig18",
-    (
-        "baseline_20GB_DDR3",
-        "baseline_24GB_DDR3",
-        "Alloy-Cache",
-        "PoM",
-        "Chameleon",
-        "Chameleon-Opt",
-    ),
+    "fig20", _BASELINES + ("numaAware",) + _AUTONUMA + _CHAMELEONS
 )
-REGISTRY.define_figure("fig19", ("PoM", "Chameleon", "Chameleon-Opt"))
-REGISTRY.define_figure(
-    "fig20",
-    (
-        "baseline_20GB_DDR3",
-        "baseline_24GB_DDR3",
-        "numaAware",
-        "autoNUMA_70percent",
-        "autoNUMA_80percent",
-        "autoNUMA_90percent",
-        "Chameleon",
-        "Chameleon-Opt",
-    ),
-)
-REGISTRY.define_figure("fig21", ("Chameleon", "Chameleon-Opt"))
-REGISTRY.define_figure(
-    "fig22",
-    (
-        "baseline_20GB_DDR3",
-        "baseline_24GB_DDR3",
-        "Polymorphic",
-        "Chameleon",
-        "Chameleon-Opt",
-    ),
-)
-REGISTRY.define_figure(
-    "fig23",
-    (
-        "baseline_20GB_DDR3",
-        "baseline_24GB_DDR3",
-        "PoM",
-        "Chameleon",
-        "Chameleon-Opt",
-    ),
-)
+REGISTRY.define_figure("fig21", _CHAMELEONS)
+REGISTRY.define_figure("fig22", _BASELINES + ("Polymorphic",) + _CHAMELEONS)
+REGISTRY.define_figure("fig23", _BASELINES + ("PoM",) + _CHAMELEONS)
 
 __all__ = [
     "CATEGORIES",

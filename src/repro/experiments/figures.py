@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from repro.experiments.designs import REGISTRY
 from repro.experiments.reporting import format_table
@@ -13,17 +13,11 @@ from repro.experiments.runner import (
     run_design_sweep,
 )
 from repro.runtime import SweepExecutor
+from repro.sim.engine import SimulationResult
 from repro.stats import geomean
 
-#: The four designs of Figures 15-17 and 19.  Private on purpose: the
-#: public way to enumerate designs is :data:`REGISTRY` (or
-#: :func:`repro.api.designs`), not module constants.
-_HW_LABELS = REGISTRY.figure_labels("fig15")
-
-#: Per-figure design line-ups, in plot order (see designs.py).
-_FIG18_LABELS = REGISTRY.figure_labels("fig18")
-_FIG20_LABELS = REGISTRY.figure_labels("fig20")
-_FIG22_LABELS = REGISTRY.figure_labels("fig22")
+#: The 20GB flat system every normalised-IPC figure divides by.
+_BASELINE = "baseline_20GB_DDR3"
 
 
 @dataclass
@@ -44,8 +38,69 @@ def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
+def _hit_percent(result: SimulationResult) -> float:
+    return result.fast_hit_rate * 100.0
+
+
+def _cache_mode_percent(result: SimulationResult) -> float:
+    return (result.cache_mode_fraction or 0.0) * 100.0
+
+
+def _per_workload_table(
+    scale: Scale,
+    designs: Sequence[str],
+    metric: Callable[[SimulationResult], float],
+    title: str,
+    executor: SweepExecutor | None = None,
+    headers: List[str] | None = None,
+    total: Tuple[str, Callable[[Iterable[float]], float]] = ("Average", _mean),
+) -> FigureResult:
+    """One row per workload holding ``metric`` for each design, then a
+    ``total`` row (label, aggregate over the workloads) that is also
+    the summary."""
+    results = run_design_sweep(scale, designs, executor=executor)
+    rows: List[List] = [
+        [name] + [metric(results[(design, name)]) for design in designs]
+        for name in scale.benchmarks
+    ]
+    label, aggregate = total
+    summary = {
+        design: aggregate(row[column] for row in rows)
+        for column, design in enumerate(designs, start=1)
+    }
+    rows.append([label] + list(summary.values()))
+    headers = headers or ["workload"] + list(designs)
+    return FigureResult(title, headers, rows, summary)
+
+
+def _normalised_ipc(
+    scale: Scale,
+    designs: Sequence[str],
+    title: str,
+    executor: SweepExecutor | None = None,
+) -> Tuple[FigureResult, Dict[str, float]]:
+    """Per-workload IPC normalised to the 20GB flat baseline, then a
+    ``GeoMean`` row; returns the figure and each design's raw geomean."""
+    results = run_design_sweep(scale, designs, executor=executor)
+    rows: List[List] = []
+    for name in scale.benchmarks:
+        base = results[(_BASELINE, name)].geomean_ipc
+        rows.append(
+            [name]
+            + [
+                results[(design, name)].geomean_ipc / base
+                for design in designs
+            ]
+        )
+    means = geomean_by_design(results, designs, scale.benchmarks)
+    summary = {design: means[design] / means[_BASELINE] for design in designs}
+    rows.append(["GeoMean"] + list(summary.values()))
+    headers = ["workload"] + list(designs)
+    return FigureResult(title, headers, rows, summary), means
+
+
 # ----------------------------------------------------------------------
-# Figure 15: stacked-DRAM hit rates
+# Figures 15 and 16: hit rates and the cache/PoM mode distribution
 # ----------------------------------------------------------------------
 
 def run_fig15(
@@ -55,33 +110,14 @@ def run_fig15(
 
     Paper averages: Alloy 62.4%, PoM 81%, Chameleon 84.6%, Opt 89.4%.
     """
-    results = run_design_sweep(scale, _HW_LABELS, executor=executor)
-    headers = ["workload"] + [d for d in _HW_LABELS]
-    rows = []
-    for name in scale.benchmarks:
-        rows.append(
-            [name]
-            + [
-                results[(design, name)].fast_hit_rate * 100.0
-                for design in _HW_LABELS
-            ]
-        )
-    summary = {
-        design: _mean(
-            results[(design, name)].fast_hit_rate * 100.0
-            for name in scale.benchmarks
-        )
-        for design in _HW_LABELS
-    }
-    rows.append(["Average"] + [summary[d] for d in _HW_LABELS])
-    return FigureResult(
-        "Figure 15: Stacked DRAM hit rate [%]", headers, rows, summary
+    return _per_workload_table(
+        scale,
+        REGISTRY.figure_labels("fig15"),
+        _hit_percent,
+        "Figure 15: Stacked DRAM hit rate [%]",
+        executor,
     )
 
-
-# ----------------------------------------------------------------------
-# Figure 16: cache/PoM mode distribution
-# ----------------------------------------------------------------------
 
 def run_fig16(
     scale: Scale, executor: SweepExecutor | None = None
@@ -90,28 +126,14 @@ def run_fig16(
 
     Paper averages: 9.2% cache mode (Chameleon), 40.6% (Chameleon-Opt).
     """
-    designs = ("Chameleon", "Chameleon-Opt")
-    results = run_design_sweep(scale, designs, executor=executor)
-    headers = ["workload"] + [f"{d} cache-mode %" for d in designs]
-    rows = []
-    for name in scale.benchmarks:
-        rows.append(
-            [name]
-            + [
-                (results[(design, name)].cache_mode_fraction or 0.0) * 100.0
-                for design in designs
-            ]
-        )
-    summary = {
-        design: _mean(
-            (results[(design, name)].cache_mode_fraction or 0.0) * 100.0
-            for name in scale.benchmarks
-        )
-        for design in designs
-    }
-    rows.append(["Average"] + [summary[d] for d in designs])
-    return FigureResult(
-        "Figure 16: cache-mode segment groups [%]", headers, rows, summary
+    designs = REGISTRY.figure_labels("fig16")
+    return _per_workload_table(
+        scale,
+        designs,
+        _cache_mode_percent,
+        "Figure 16: cache-mode segment groups [%]",
+        executor,
+        headers=["workload"] + [f"{d} cache-mode %" for d in designs],
     )
 
 
@@ -127,7 +149,7 @@ def run_fig17(
     Paper averages: Chameleon 0.856, Chameleon-Opt 0.569 (i.e. -14.4%
     and -43.1% swaps vs PoM).
     """
-    designs = ("PoM", "Chameleon", "Chameleon-Opt")
+    designs = REGISTRY.figure_labels("fig17")
     results = run_design_sweep(scale, designs, executor=executor)
     headers = ["workload"] + list(designs)
     rows = []
@@ -163,28 +185,12 @@ def run_fig18(
     Paper geomeans vs that baseline: 24GB +35.6%, PoM +85.2%,
     Chameleon +96.8%, Chameleon-Opt +106.3%.
     """
-    results = run_design_sweep(scale, _FIG18_LABELS, executor=executor)
-    headers = ["workload"] + list(_FIG18_LABELS)
-    rows = []
-    for name in scale.benchmarks:
-        base = results[("baseline_20GB_DDR3", name)].geomean_ipc
-        rows.append(
-            [name]
-            + [
-                results[(design, name)].geomean_ipc / base
-                for design in _FIG18_LABELS
-            ]
-        )
-    means = geomean_by_design(results, _FIG18_LABELS, scale.benchmarks)
-    base = means["baseline_20GB_DDR3"]
-    summary = {design: means[design] / base for design in _FIG18_LABELS}
-    rows.append(["GeoMean"] + [summary[d] for d in _FIG18_LABELS])
-    return FigureResult(
+    return _normalised_ipc(
+        scale,
+        REGISTRY.figure_labels("fig18"),
         "Figure 18: IPC normalised to baseline_20GB_DDR3",
-        headers,
-        rows,
-        summary,
-    )
+        executor,
+    )[0]
 
 
 # ----------------------------------------------------------------------
@@ -198,35 +204,14 @@ def run_fig19(
 
     The paper's ordering: PoM highest, Chameleon lower, Opt lowest.
     """
-    designs = ("PoM", "Chameleon", "Chameleon-Opt")
-    results = run_design_sweep(scale, designs, executor=executor)
     config = scale.config()
-    headers = ["workload"] + list(designs)
-    rows = []
-    for name in scale.benchmarks:
-        rows.append(
-            [name]
-            + [
-                results[(design, name)].average_latency_cycles(config)
-                for design in designs
-            ]
-        )
-    summary = {
-        design: geomean(
-            max(
-                1e-9,
-                results[(design, name)].average_latency_cycles(config),
-            )
-            for name in scale.benchmarks
-        )
-        for design in designs
-    }
-    rows.append(["GeoMean"] + [summary[d] for d in designs])
-    return FigureResult(
+    return _per_workload_table(
+        scale,
+        REGISTRY.figure_labels("fig19"),
+        lambda result: result.average_latency_cycles(config),
         "Figure 19: average memory access latency [CPU cycles]",
-        headers,
-        rows,
-        summary,
+        executor,
+        total=("GeoMean", lambda col: geomean(max(1e-9, v) for v in col)),
     )
 
 
@@ -242,28 +227,12 @@ def run_fig20(
     Paper: Chameleon +28.7%/+19.1% over first-touch/AutoNUMA;
     Chameleon-Opt +34.8%/+24.9%.
     """
-    results = run_design_sweep(scale, _FIG20_LABELS, executor=executor)
-    headers = ["workload"] + list(_FIG20_LABELS)
-    rows = []
-    for name in scale.benchmarks:
-        base = results[("baseline_20GB_DDR3", name)].geomean_ipc
-        rows.append(
-            [name]
-            + [
-                results[(design, name)].geomean_ipc / base
-                for design in _FIG20_LABELS
-            ]
-        )
-    means = geomean_by_design(results, _FIG20_LABELS, scale.benchmarks)
-    base = means["baseline_20GB_DDR3"]
-    summary = {design: means[design] / base for design in _FIG20_LABELS}
-    rows.append(["GeoMean"] + [summary[d] for d in _FIG20_LABELS])
-    return FigureResult(
+    return _normalised_ipc(
+        scale,
+        REGISTRY.figure_labels("fig20"),
         "Figure 20: IPC vs OS-based solutions (normalised)",
-        headers,
-        rows,
-        summary,
-    )
+        executor,
+    )[0]
 
 
 # ----------------------------------------------------------------------
@@ -279,27 +248,19 @@ def run_fig21(
 
     Paper averages: 33% (1:3), 40.6% (1:5), 48.7% (1:7).
     """
-    headers = ["ratio"] + ["Chameleon-Opt cache-mode %", "Chameleon cache-mode %"]
+    headers = ["ratio", "Chameleon-Opt cache-mode %", "Chameleon cache-mode %"]
     rows = []
     summary: Dict[str, float] = {}
     for ratio in ratios:
-        ratio_scale = scale.with_ratio(ratio)
-        results = run_design_sweep(
-            ratio_scale,
+        means = _per_workload_table(
+            scale.with_ratio(ratio),
             REGISTRY.figure_labels("fig21"),
-            executor=executor,
-        )
-        opt = _mean(
-            (results[("Chameleon-Opt", name)].cache_mode_fraction or 0.0)
-            * 100.0
-            for name in ratio_scale.benchmarks
-        )
-        basic = _mean(
-            (results[("Chameleon", name)].cache_mode_fraction or 0.0) * 100.0
-            for name in ratio_scale.benchmarks
-        )
-        rows.append([f"1:{ratio}", opt, basic])
-        summary[f"1:{ratio}"] = opt
+            _cache_mode_percent,
+            "",
+            executor,
+        ).summary
+        rows.append([f"1:{ratio}", means["Chameleon-Opt"], means["Chameleon"]])
+        summary[f"1:{ratio}"] = means["Chameleon-Opt"]
     return FigureResult(
         "Figure 21: cache-mode groups vs capacity ratio [%]",
         headers,
@@ -318,31 +279,22 @@ def run_fig23(
     Paper: Chameleon/Opt beat PoM by 5.9%/7.6% at 1:3 and 8.1%/12.4%
     at 1:7.
     """
-    designs = (
-        "baseline_20GB_DDR3",
-        "baseline_24GB_DDR3",
-        "PoM",
-        "Chameleon",
-        "Chameleon-Opt",
-    )
-    headers = ["ratio"] + list(designs)
+    designs = REGISTRY.figure_labels("fig23")
     rows = []
     summary: Dict[str, float] = {}
     for ratio in ratios:
-        ratio_scale = scale.with_ratio(ratio)
-        results = run_design_sweep(ratio_scale, designs, executor=executor)
-        means = geomean_by_design(results, designs, ratio_scale.benchmarks)
-        base = means["baseline_20GB_DDR3"]
-        rows.append([f"1:{ratio}"] + [means[d] / base for d in designs])
-        summary[f"1:{ratio}:opt_vs_pom"] = (
-            means["Chameleon-Opt"] / means["PoM"] - 1.0
-        ) * 100.0
-        summary[f"1:{ratio}:cham_vs_pom"] = (
-            means["Chameleon"] / means["PoM"] - 1.0
-        ) * 100.0
+        # Each row is the GeoMean row of the ratio's normalised-IPC table.
+        table, means = _normalised_ipc(
+            scale.with_ratio(ratio), designs, "", executor
+        )
+        rows.append([f"1:{ratio}"] + table.rows[-1][1:])
+        for key, design in (("opt", "Chameleon-Opt"), ("cham", "Chameleon")):
+            summary[f"1:{ratio}:{key}_vs_pom"] = (
+                means[design] / means["PoM"] - 1.0
+            ) * 100.0
     return FigureResult(
         "Figure 23: normalised IPC vs capacity ratio",
-        headers,
+        ["ratio"] + list(designs),
         rows,
         summary,
     )
@@ -359,33 +311,17 @@ def run_fig22(
 
     Paper: Chameleon +10.5%, Chameleon-Opt +15.8% over Polymorphic.
     """
-    results = run_design_sweep(scale, _FIG22_LABELS, executor=executor)
-    headers = ["workload"] + list(_FIG22_LABELS)
-    rows = []
-    for name in scale.benchmarks:
-        base = results[("baseline_20GB_DDR3", name)].geomean_ipc
-        rows.append(
-            [name]
-            + [
-                results[(design, name)].geomean_ipc / base
-                for design in _FIG22_LABELS
-            ]
-        )
-    means = geomean_by_design(results, _FIG22_LABELS, scale.benchmarks)
-    base = means["baseline_20GB_DDR3"]
-    summary = {design: means[design] / base for design in _FIG22_LABELS}
-    summary["cham_vs_poly_percent"] = (
-        means["Chameleon"] / means["Polymorphic"] - 1.0
-    ) * 100.0
-    summary["opt_vs_poly_percent"] = (
-        means["Chameleon-Opt"] / means["Polymorphic"] - 1.0
-    ) * 100.0
-    rows.append(
-        ["GeoMean"] + [summary[d] for d in _FIG22_LABELS]
-    )
-    return FigureResult(
+    result, means = _normalised_ipc(
+        scale,
+        REGISTRY.figure_labels("fig22"),
         "Figure 22: Polymorphic Memory comparison (normalised IPC)",
-        headers,
-        rows,
-        summary,
+        executor,
     )
+    for key, design in (
+        ("cham_vs_poly_percent", "Chameleon"),
+        ("opt_vs_poly_percent", "Chameleon-Opt"),
+    ):
+        result.summary[key] = (
+            means[design] / means["Polymorphic"] - 1.0
+        ) * 100.0
+    return result

@@ -7,7 +7,7 @@ days on a 24GB machine with an SSD, and a 16GB-28GB capacity sweep.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.config import GB
 from repro.experiments.figures import FigureResult, _mean
@@ -109,6 +109,15 @@ def run_fig3(
     )
 
 
+def _capacity_grid(
+    base_seconds: float,
+) -> Tuple[List[WorkloadSpec], List[List[CapacityRunResult]]]:
+    """The Figure 4 workloads run alone at every swept capacity."""
+    specs = [longrun_spec(name, base_seconds) for name in FIG4_WORKLOADS]
+    grid = capacity_sweep(specs, [int(gb * GB) for gb in CAPACITIES_GB])
+    return specs, grid
+
+
 # ----------------------------------------------------------------------
 # Figure 4: execution-time improvement vs capacity
 # ----------------------------------------------------------------------
@@ -120,9 +129,7 @@ def run_fig4(base_seconds: float = 3600.0) -> FigureResult:
     Paper: average improvement grows from 29.5% at 18GB to 75.4% at
     24GB, saturating at 26/28GB.
     """
-    specs = [longrun_spec(name, base_seconds) for name in FIG4_WORKLOADS]
-    capacities = [int(gb * GB) for gb in CAPACITIES_GB]
-    grid = capacity_sweep(specs, capacities)
+    specs, grid = _capacity_grid(base_seconds)
     headers = ["workload"] + [f"{gb}GB" for gb in CAPACITIES_GB[1:]]
     rows = []
     for spec_index, spec in enumerate(specs):
@@ -134,15 +141,11 @@ def run_fig4(base_seconds: float = 3600.0) -> FigureResult:
                 for run in grid[spec_index][1:]
             ]
         )
-    averages = [
-        _mean(row[column] for row in rows)
-        for column in range(1, len(headers))
-    ]
     summary = {
-        f"{gb}GB": averages[index]
-        for index, gb in enumerate(CAPACITIES_GB[1:])
+        header: _mean(row[column] for row in rows)
+        for column, header in enumerate(headers[1:], start=1)
     }
-    rows.append(["Average"] + averages)
+    rows.append(["Average"] + list(summary.values()))
     return FigureResult(
         "Figure 4: execution-time improvement vs 16GB [%]",
         headers,
@@ -161,9 +164,7 @@ def run_fig5(base_seconds: float = 3600.0) -> FigureResult:
     Paper: faults fall and utilisation rises to 100% as capacity grows;
     at low capacities tasks sit in the uninterruptible "D" state.
     """
-    specs = [longrun_spec(name, base_seconds) for name in FIG4_WORKLOADS]
-    capacities = [int(gb * GB) for gb in CAPACITIES_GB]
-    grid = capacity_sweep(specs, capacities)
+    specs, grid = _capacity_grid(base_seconds)
     headers = ["workload", "capacity", "faults [M]", "CPU util %"]
     rows = []
     for spec_index, spec in enumerate(specs):
@@ -177,16 +178,11 @@ def run_fig5(base_seconds: float = 3600.0) -> FigureResult:
                     run.cpu_utilisation * 100.0,
                 ]
             )
-    by_capacity: Dict[str, List[CapacityRunResult]] = {}
-    for spec_index in range(len(specs)):
-        for cap_index, gb in enumerate(CAPACITIES_GB):
-            by_capacity.setdefault(f"{gb}GB", []).append(
-                grid[spec_index][cap_index]
-            )
     summary = {}
-    for label, runs in by_capacity.items():
-        summary[f"faults_M@{label}"] = _mean(r.fault_millions for r in runs)
-        summary[f"util@{label}"] = _mean(
+    for cap_index, gb in enumerate(CAPACITIES_GB):
+        runs = [row[cap_index] for row in grid]
+        summary[f"faults_M@{gb}GB"] = _mean(r.fault_millions for r in runs)
+        summary[f"util@{gb}GB"] = _mean(
             r.cpu_utilisation * 100.0 for r in runs
         )
     return FigureResult(

@@ -6,8 +6,12 @@ import dataclasses
 from typing import Dict, List, Tuple
 
 from repro.experiments.designs import REGISTRY
-from repro.experiments.figures import FigureResult, _mean
-from repro.experiments.runner import Scale, run_design_sweep
+from repro.experiments.figures import (
+    FigureResult,
+    _hit_percent,
+    _per_workload_table,
+)
+from repro.experiments.runner import Scale
 from repro.osmodel.autonuma import AutoNumaConfig
 from repro.runtime import SweepExecutor
 from repro.sim import AutoNumaMemory, simulate
@@ -22,22 +26,16 @@ def run_fig2a(
 
     Paper average: 18.5% for the high-footprint workloads.
     """
-    results = run_design_sweep(
-        scale, REGISTRY.figure_labels("fig2a"), executor=executor
-    )
-    headers = ["workload", "hit rate %"]
-    rows = [
-        [name, results[("numaAware", name)].fast_hit_rate * 100.0]
-        for name in scale.benchmarks
-    ]
-    average = _mean(row[1] for row in rows)
-    rows.append(["Average", average])
-    return FigureResult(
+    result = _per_workload_table(
+        scale,
+        REGISTRY.figure_labels("fig2a"),
+        _hit_percent,
         "Figure 2a: first-touch allocator stacked DRAM hit rate [%]",
-        headers,
-        rows,
-        {"average": average},
+        executor,
+        headers=["workload", "hit rate %"],
     )
+    result.summary = {"average": result.summary["numaAware"]}
+    return result
 
 
 def run_fig2b(
@@ -51,36 +49,17 @@ def run_fig2b(
     pages — so this figure measures from a cold start (no warm-up), the
     adaptation phase included.
     """
-    designs = REGISTRY.figure_labels("fig2b")
     cold_scale = dataclasses.replace(
         scale,
         warmup_per_core=0,
         accesses_per_core=scale.accesses_per_core + scale.warmup_per_core,
     )
-    results = run_design_sweep(cold_scale, designs, executor=executor)
-    headers = ["workload"] + [d for d in designs]
-    rows = []
-    for name in cold_scale.benchmarks:
-        rows.append(
-            [name]
-            + [
-                results[(design, name)].fast_hit_rate * 100.0
-                for design in designs
-            ]
-        )
-    summary = {
-        design: _mean(
-            results[(design, name)].fast_hit_rate * 100.0
-            for name in scale.benchmarks
-        )
-        for design in designs
-    }
-    rows.append(["Average"] + [summary[d] for d in designs])
-    return FigureResult(
+    return _per_workload_table(
+        cold_scale,
+        REGISTRY.figure_labels("fig2b"),
+        _hit_percent,
         "Figure 2b: AutoNUMA stacked DRAM hit rate [%]",
-        headers,
-        rows,
-        summary,
+        executor,
     )
 
 

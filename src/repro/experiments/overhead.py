@@ -16,6 +16,7 @@ the denominator from the simulated schedule duration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict
 
 from repro.config import GB, SystemConfig, paper_config
 from repro.experiments.longrun_figures import paper_schedule
@@ -39,6 +40,25 @@ class OverheadReport:
     @property
     def overhead_percent(self) -> float:
         return self.swap_seconds / self.total_seconds * 100.0
+
+    @property
+    def summary(self) -> Dict[str, float]:
+        return {
+            "isa_events": self.isa_events,
+            "overhead_percent": self.overhead_percent,
+        }
+
+    def render(self) -> str:
+        total_hours = self.total_seconds / 3600
+        return "\n".join(
+            [
+                "Section VI-F: ISA-Alloc/ISA-Free overhead",
+                f"  ISA events : {self.isa_events / 1e6:,.1f}M (paper 242.8M)",
+                f"  swap time  : {self.swap_seconds:,.0f}s (paper 2071.89s)",
+                f"  total time : {total_hours:,.1f}h (paper 53.8h)",
+                f"  overhead   : {self.overhead_percent:.2f}% (paper 1.06%)",
+            ]
+        )
 
 
 def run_overhead_analysis(

@@ -11,15 +11,12 @@ executor with an optional persistent result cache — plus a
 process-local memo so the five main-results figures (15-19) share one
 sweep.
 
-The design registry lives in :mod:`repro.experiments.designs`; the
-pre-registry ``DESIGNS`` dict and per-figure tuple aliases completed
-their deprecation cycle and were removed in 1.3.0 — enumerate designs
-via :func:`repro.api.designs` or ``REGISTRY`` directly.
+The design registry lives in :mod:`repro.experiments.designs`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import MB, SystemConfig, offchip_dram, stacked_dram
@@ -51,15 +48,7 @@ class Scale:
         """Same total capacity, different stacked:off-chip split
         (Figures 21/23: 24 total units split 6+18, 4+20, 3+21)."""
         total_mb = self.fast_mb * (1 + self.ratio)
-        return Scale(
-            fast_mb=total_mb / (ratio + 1),
-            ratio=ratio,
-            accesses_per_core=self.accesses_per_core,
-            warmup_per_core=self.warmup_per_core,
-            num_copies=self.num_copies,
-            benchmarks=self.benchmarks,
-            seed=self.seed,
-        )
+        return replace(self, fast_mb=total_mb / (ratio + 1), ratio=ratio)
 
 
 #: Small scale for unit/integration tests.

@@ -4,7 +4,8 @@ import dataclasses
 
 import pytest
 
-from repro.experiments.__main__ import EXPERIMENTS, main
+from repro.experiments.__main__ import main
+from repro.experiments.artefacts import ARTEFACTS
 from repro.experiments.runner import DEFAULT_SCALE, SMOKE_SCALE
 
 
@@ -26,7 +27,7 @@ class TestCli:
             "fig4", "fig5", "fig15", "fig16", "fig17", "fig18",
             "fig19", "fig20", "fig21", "fig22", "fig23", "overhead",
         }
-        assert set(EXPERIMENTS) == expected
+        assert set(ARTEFACTS) == expected
 
     def test_unknown_experiment(self, capsys):
         assert main(["nope"]) == 2
@@ -183,6 +184,31 @@ class TestFaultToleranceFlags:
         captured = capsys.readouterr()
         assert "--no-cache" in captured.err
         assert "Figure 16" not in captured.out
+
+
+class TestForeignFlags:
+    """A flag only another subcommand reads is a usage error naming the
+    flag and its owner, never silently ignored."""
+
+    @pytest.mark.parametrize(
+        "argv, flag, owner",
+        [
+            (["fig15", "--seed", "3"], "--seed", "the 'check' subcommand"),
+            (["fig15", "--seed", "0"], "--seed", "the 'check' subcommand"),
+            (["fig16", "--bless", "--port", "5", "--hold"], "--bless",
+             "the 'check' subcommand"),
+            (["all", "--port", "0"], "--port", "the 'serve' subcommand"),
+            (["check", "--accesses", "150"], "--accesses", "experiment runs"),
+            (["serve", "--trace"], "--trace", "experiment runs"),
+            (["cache", "info", "--sample", "1"], "--sample",
+             "the 'check' subcommand"),
+        ],
+    )
+    def test_foreign_flag_is_a_usage_error(self, capsys, argv, flag, owner):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"{flag} belongs to {owner}" in captured.err
+        assert captured.out == ""
 
 
 class TestCacheSubcommand:
