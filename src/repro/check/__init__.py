@@ -3,12 +3,14 @@
 The correctness-tooling subsystem behind ``python -m repro.experiments
 check``: a content-addressed :class:`GoldenStore` of blessed result and
 event-stream digests (committed under ``tests/goldens/``), a
-differential oracle that runs every execution path the codebase offers
-for a cell — the scalar reference vs the chunked kernel, arena-on vs
-arena-off workers, cold vs warm result cache, direct vs
+differential oracle that runs each distinct execution path of a cell
+once — the golden sweep itself (chunked kernel, trace arena), the
+scalar reference, the serial runtime into a cold result cache, the
+warm replay of that cache, a worker pool on the arena, and the
 :mod:`repro.serve` round trip — and asserts byte-identical canonical
-results, a metamorphic invariant pack, and a bounded seeded config
-fuzzer.  See ``docs/TESTING.md`` for the workflow.
+results, a metamorphic invariant pack and a bounded seeded config
+fuzzer, both reading one captured chunked run per cell.  See
+``docs/TESTING.md`` for the workflow.
 """
 
 from repro.check.canonical import (

@@ -3,9 +3,10 @@
 Samples valid ``(Scale, design, workload)`` configurations from the
 documented parameter ranges and feeds each through the *cheap* half of
 the oracle suite — forced-kernel parity, seed determinism, telemetry
-transparency — so odd-but-legal parameter corners (zero warmup, one
-core, tiny stacked capacity, skewed ratios) get differential coverage
-the fixed golden grid cannot provide.
+transparency, all read off one captured chunked run — so
+odd-but-legal parameter corners (zero warmup, one core, tiny stacked
+capacity, skewed ratios) get differential coverage the fixed golden
+grid cannot provide.
 
 The generator is a pure function of its seed: the same ``--seed``
 reproduces the same cases, so a CI failure is replayable locally with
@@ -18,13 +19,15 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, List
 
-from repro.check.canonical import events_digest, result_digest
+from repro.check.goldens import scale_identity
 from repro.check.oracle import (
     InvariantResult,
-    check_seed_determinism,
-    check_telemetry_transparency,
+    check_repeatability,
+    kernel_parity,
+    simulate_run,
+    verdict,
 )
-from repro.experiments.designs import REGISTRY, kernel_decision
+from repro.experiments.designs import REGISTRY
 from repro.experiments.runner import Scale
 from repro.workloads import benchmark_names
 
@@ -52,12 +55,7 @@ class FuzzCase:
             "case": self.case,
             "design": self.design,
             "workload": self.workload,
-            "fast_mb": self.scale.fast_mb,
-            "ratio": self.scale.ratio,
-            "accesses_per_core": self.scale.accesses_per_core,
-            "warmup_per_core": self.scale.warmup_per_core,
-            "num_copies": self.scale.num_copies,
-            "seed": self.scale.seed,
+            **scale_identity(self.scale),
         }
 
 
@@ -91,27 +89,6 @@ def generate_cases(seed: int, count: int) -> List[FuzzCase]:
     return cases
 
 
-def check_kernel_parity(case: FuzzCase) -> InvariantResult:
-    """Forced-scalar vs auto-selected kernel, byte-identical."""
-    from repro.check.oracle import _captured
-
-    decision = kernel_decision(case.design, case.scale.config())
-    reference, ref_events = _captured(
-        case.scale, case.design, case.workload, kernel="scalar"
-    )
-    fast, fast_events = _captured(
-        case.scale, case.design, case.workload, kernel=decision.kernel
-    )
-    same = result_digest(reference) == result_digest(fast) and events_digest(
-        ref_events
-    ) == events_digest(fast_events)
-    return InvariantResult(
-        "kernel-parity",
-        same,
-        "" if same else f"{decision.kernel} diverges from scalar",
-    )
-
-
 @dataclass(frozen=True)
 class FuzzOutcome:
     """One fuzz case's oracle verdicts."""
@@ -132,20 +109,22 @@ class FuzzOutcome:
 
 
 def run_fuzz(seed: int, count: int) -> List[FuzzOutcome]:
-    """Run the cheap oracle set over ``count`` sampled configs."""
+    """Run the cheap oracle set over ``count`` sampled configs, each
+    reading one captured chunked run of its case."""
     outcomes: List[FuzzOutcome] = []
     for case in generate_cases(seed, count):
+        cell = (case.scale, case.design, case.workload)
+        chunked = simulate_run(*cell)
         outcomes.append(
             FuzzOutcome(
                 case=case,
                 invariants=[
-                    check_kernel_parity(case),
-                    check_seed_determinism(
-                        case.scale, case.design, case.workload
+                    verdict(
+                        "kernel-parity",
+                        kernel_parity(*cell, chunked),
+                        "chunked kernel diverges from scalar",
                     ),
-                    check_telemetry_transparency(
-                        case.scale, case.design, case.workload
-                    ),
+                    *check_repeatability(*cell, chunked),
                 ],
             )
         )
@@ -159,7 +138,6 @@ __all__ = [
     "FuzzCase",
     "FuzzOutcome",
     "RATIO_CHOICES",
-    "check_kernel_parity",
     "generate_cases",
     "run_fuzz",
 ]

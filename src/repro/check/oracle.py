@@ -1,17 +1,18 @@
 """Differential and metamorphic oracles over the execution paths.
 
-The codebase has many ways to produce one
+The codebase has several ways to produce one
 :class:`~repro.sim.SimulationResult`: the scalar reference loop, the
-chunked fast kernel (with or without its pager), worker processes
-replaying the parent's published trace arena, inline serial execution,
-warm :class:`ResultCache` replays, and the :mod:`repro.serve` round
-trip.  The paper's claims rest on all of them being *the same
-simulation*; :func:`run_execution_paths` runs
-every applicable one for a cell and reduces each to canonical digests,
-and :func:`run_invariants` adds metamorphic properties no single path
-can check against itself (seed determinism, telemetry transparency,
-epoch additivity, warmup-boundary kernel parity, coalesced-response
-byte equality).
+chunked fast kernel (with or without its pager), the sweep runtime
+inline or in worker processes replaying the parent's published trace
+arena, warm :class:`ResultCache` replays, and the :mod:`repro.serve`
+round trip.  The paper's claims rest on all of them being *the same
+simulation*; :func:`run_execution_paths` runs each distinct one once
+for a cell and reduces it to canonical digests, and
+:func:`run_invariants` adds metamorphic properties no single path can
+check against itself (seed determinism, telemetry transparency, epoch
+additivity, warmup-boundary kernel parity, coalesced-response byte
+equality).  The invariants read one captured chunked run per cell,
+and every invariant that compares two runs uses :func:`same_bytes`.
 
 Everything here is pure measurement: callers (the check runner, the
 CLI, tests) compare the returned digests and decide pass/fail.
@@ -22,26 +23,27 @@ from __future__ import annotations
 import dataclasses
 import tempfile
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.check.canonical import events_digest, payload_digest, result_digest
-from repro.experiments.designs import kernel_decision
+from repro.check.goldens import scale_identity
 from repro.runtime import ResultCache, SweepExecutor
 from repro.runtime.cells import simulate_cell
 from repro.telemetry import EventBus
 from repro.telemetry.events import EpochSample, PageFaultEvent, SegmentSwap
 from repro.telemetry.recorder import EventLog, TimelineRecorder
 
-#: Path names of the differential oracle, in execution order.  Which
-#: ones apply to a cell depends on its kernel decision and on the
-#: ``pool``/``serve`` switches.
+#: Path names of the differential oracle.  :func:`run_execution_paths`
+#: runs the last five, in this order; the check runner adds the golden
+#: sweep's own digests as the first.
+PATH_SWEEP = "executor:sweep"
 PATH_SCALAR = "kernel:scalar"
-PATH_SERIAL = "executor:serial-no-arena"
-PATH_POOL_ARENA = "executor:pool-arena"
-PATH_CACHE_COLD = "cache:cold"
+PATH_SERIAL = "executor:serial-cold-cache"
 PATH_CACHE_WARM = "cache:warm"
+PATH_POOL_ARENA = "executor:pool-arena"
 PATH_SERVE = "serve:roundtrip"
 
 
@@ -60,12 +62,7 @@ class PathResult:
     detail: str = ""
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "path": self.path,
-            "result_digest": self.result_digest,
-            "events_digest": self.events_digest,
-            "detail": self.detail,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -77,29 +74,93 @@ class InvariantResult:
     detail: str = ""
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
+        return dataclasses.asdict(self)
 
 
-def _cell_scale(scale: Any, workload: str) -> Any:
-    """The cell's single-workload scale (what ``run_cells`` sees)."""
-    return dataclasses.replace(scale, benchmarks=(workload,))
+def verdict(name: str, passed: bool, failure: str) -> InvariantResult:
+    """A named verdict whose detail is ``failure`` unless it passed."""
+    return InvariantResult(name, passed, "" if passed else failure)
 
 
-def _captured(
-    scale: Any, design: str, workload: str, kernel: str = "auto"
-) -> Tuple[Any, List[Any]]:
-    """Simulate once with event capture → ``(result, events)``."""
+class Run(NamedTuple):
+    """One direct simulation of a cell and its canonical digests
+    (``events`` and the events digest are ``None`` with telemetry
+    off)."""
+
+    result: Any
+    events: Optional[List[Any]]
+    digests: Tuple[str, Optional[str]]
+
+
+def simulate_run(
+    scale: Any,
+    design: str,
+    workload: str,
+    *,
+    kernel: str = "auto",
+    telemetry: bool = True,
+) -> Run:
+    """Simulate one cell directly, capturing its events unless
+    ``telemetry`` is off."""
+    if not telemetry:
+        result = simulate_cell(scale, design, workload, kernel=kernel)
+        return Run(result, None, (result_digest(result), None))
     bus = EventBus()
     log = bus.subscribe(EventLog())
     result = simulate_cell(
         scale, design, workload, telemetry=bus, kernel=kernel
     )
-    return result, list(log.events)
+    events = list(log.events)
+    return Run(result, events, (result_digest(result), events_digest(events)))
 
+
+def same_bytes(reference: Run, candidate: Run) -> bool:
+    """The byte-identity comparator: equal result digests, and equal
+    event digests wherever both runs captured a stream."""
+    return all(
+        a == b
+        for a, b in zip(reference.digests, candidate.digests)
+        if a is not None and b is not None
+    )
+
+
+def kernel_parity(
+    scale: Any, design: str, workload: str, chunked: Optional[Run] = None
+) -> bool:
+    """The forced-scalar reference matches the chunked run (simulated
+    here unless the caller already captured it)."""
+    if chunked is None:
+        chunked = simulate_run(scale, design, workload)
+    return same_bytes(
+        simulate_run(scale, design, workload, kernel="scalar"), chunked
+    )
+
+
+def check_repeatability(
+    scale: Any, design: str, workload: str, chunked: Run
+) -> List[InvariantResult]:
+    """Seed determinism and telemetry transparency of ``chunked``, the
+    cell's captured chunked run: a captured repeat must equal it byte
+    for byte, and a telemetry-off run must equal its result."""
+    repeat = simulate_run(scale, design, workload)
+    silent = simulate_run(scale, design, workload, telemetry=False)
+    return [
+        verdict(
+            "seed-determinism",
+            same_bytes(chunked, repeat),
+            "repeat run diverged from itself",
+        ),
+        verdict(
+            "telemetry-transparency",
+            same_bytes(chunked, silent),
+            "telemetry-on result differs from telemetry-off",
+        ),
+    ]
+
+
+# ----------------------------------------------------------------------
+# The differential execution-path oracle
+# ----------------------------------------------------------------------
 
 def _executor_path(
     scale: Any,
@@ -118,184 +179,95 @@ def _executor_path(
         telemetry=EventBus(),
         arena=arena,
     )
-    results = executor.run_cells(
-        _cell_scale(scale, workload), [(design, workload)]
-    )
+    cell_scale = dataclasses.replace(scale, benchmarks=(workload,))
+    results = executor.run_cells(cell_scale, [(design, workload)])
     events = executor.events.get((design, workload), [])
     return results[(design, workload)], list(events), executor
 
 
 def run_execution_paths(
-    scale: Any,
-    design: str,
-    workload: str,
-    *,
-    pool: bool = True,
-    serve: bool = True,
-    scratch_dir: Optional[Path] = None,
+    scale: Any, design: str, workload: str
 ) -> List[PathResult]:
-    """Run every applicable execution path for one cell.
+    """Run each distinct execution path once for one cell.
 
-    Always: the forced-scalar reference, the auto-selected kernel (when
-    it differs), and the inline serial executor without an arena.  With
-    ``pool``: a 2-worker process pool replaying the trace arena.
-    A cold-then-warm :class:`ResultCache` pair runs in ``scratch_dir``
-    (or a temporary directory).  With ``serve``: a full
+    The forced-scalar reference; the inline serial sweep runtime with
+    the arena off, writing a fresh :class:`ResultCache`; a second
+    executor that must replay that cache without simulating; a 2-worker
+    process pool replaying the trace arena; and a full
     :mod:`repro.serve` HTTP round trip on an ephemeral port.
 
     The caller asserts that every returned digest agrees; this function
     only measures.
     """
-    paths: List[PathResult] = []
+    scalar = simulate_run(scale, design, workload, kernel="scalar")
+    paths = [PathResult(PATH_SCALAR, *scalar.digests)]
 
-    # 1. The scalar reference loop.
-    result, events = _captured(scale, design, workload, kernel="scalar")
-    paths.append(
-        PathResult(PATH_SCALAR, result_digest(result), events_digest(events))
-    )
-
-    # 2. The chunked kernel, under its auto-selected case label.
-    decision = kernel_decision(design, scale.config())
-    result, events = _captured(scale, design, workload, kernel=decision.kernel)
-    paths.append(
-        PathResult(
-            f"kernel:{decision.kernel}",
-            result_digest(result),
-            events_digest(events),
-            detail=decision.reason,
-        )
-    )
-
-    # 3. The sweep runtime, inline serial, arena off.
-    result, events, _ = _executor_path(
-        scale, design, workload, jobs=1, arena=False
-    )
-    paths.append(
-        PathResult(PATH_SERIAL, result_digest(result), events_digest(events))
-    )
-
-    # 4. Worker processes replaying the inherited trace arena.
-    if pool:
-        result, events, _ = _executor_path(
-            scale, design, workload, jobs=2, arena=True
-        )
-        paths.append(
-            PathResult(
-                PATH_POOL_ARENA,
-                result_digest(result),
-                events_digest(events),
-            )
-        )
-
-    # 5. Cold-then-warm result cache: the warm run must replay the cold
-    # run's bytes without simulating.
-    with tempfile.TemporaryDirectory(dir=scratch_dir) as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         result, events, _ = _executor_path(
             scale, design, workload, jobs=1, arena=False,
             cache=ResultCache(Path(tmp)),
         )
         paths.append(
             PathResult(
-                PATH_CACHE_COLD,
-                result_digest(result),
-                events_digest(events),
+                PATH_SERIAL, result_digest(result), events_digest(events),
+                detail="jobs=1, no arena, cold cache",
             )
         )
         result, _, warm = _executor_path(
             scale, design, workload, jobs=1, arena=False,
             cache=ResultCache(Path(tmp)),
         )
-        simulated = warm.metrics.simulated
-        paths.append(
-            PathResult(
-                PATH_CACHE_WARM,
-                result_digest(result),
-                None,
-                detail=(
-                    "served from disk"
-                    if simulated == 0
-                    else f"unexpected: {simulated} cell(s) re-simulated"
-                ),
-            )
+    # A warm cache that re-simulates is itself a conformance failure:
+    # its digest is forced to disagree so the caller flags the cell.
+    simulated = warm.metrics.simulated
+    paths.append(
+        PathResult(
+            PATH_CACHE_WARM,
+            result_digest(result) if simulated == 0
+            else "cache-warm-resimulated",
+            detail="served from disk" if simulated == 0
+            else f"unexpected: {simulated} cell(s) re-simulated",
         )
-        if simulated != 0:
-            # Force disagreement so the caller flags the cell: a warm
-            # cache that re-simulates is itself a conformance failure.
-            paths[-1] = dataclasses.replace(
-                paths[-1], result_digest="cache-warm-resimulated"
-            )
+    )
 
-    # 6. The serving layer, end to end over HTTP.
-    if serve:
-        paths.append(_serve_path(scale, design, workload))
+    result, events, _ = _executor_path(
+        scale, design, workload, jobs=2, arena=True
+    )
+    paths.append(
+        PathResult(
+            PATH_POOL_ARENA, result_digest(result), events_digest(events),
+            detail="jobs=2, arena",
+        )
+    )
 
+    with _server() as client:
+        body = client.simulate(_serve_request(scale, design, workload))
+    paths.append(PathResult(PATH_SERVE, payload_digest(body["result"])))
     return paths
 
 
 def _serve_request(scale: Any, design: str, workload: str) -> Dict[str, Any]:
-    return {
-        "design": design,
-        "workload": workload,
-        "fast_mb": scale.fast_mb,
-        "ratio": scale.ratio,
-        "accesses_per_core": scale.accesses_per_core,
-        "warmup_per_core": scale.warmup_per_core,
-        "num_copies": scale.num_copies,
-        "seed": scale.seed,
-    }
+    return {"design": design, "workload": workload, **scale_identity(scale)}
 
 
-def _serve_path(scale: Any, design: str, workload: str) -> PathResult:
+@contextmanager
+def _server() -> Iterator[Any]:
+    """A serial, cache-less :mod:`repro.serve` server on an ephemeral
+    port → a :class:`~repro.serve.Client` bound to it."""
     from repro.serve import Client, ServerThread
 
     with tempfile.TemporaryDirectory() as tmp:
         with ServerThread(
             port=0, jobs=1, cache=None, checkpoint_dir=Path(tmp)
         ) as server:
-            client = Client("127.0.0.1", server.port)
-            body = client.simulate(_serve_request(scale, design, workload))
-    return PathResult(
-        PATH_SERVE, payload_digest(body["result"]), None
-    )
+            yield Client("127.0.0.1", server.port)
 
 
 # ----------------------------------------------------------------------
 # Metamorphic invariants
 # ----------------------------------------------------------------------
 
-def check_seed_determinism(
-    scale: Any, design: str, workload: str
-) -> InvariantResult:
-    """Two fresh runs of the same seeded cell are byte-identical."""
-    first, first_events = _captured(scale, design, workload)
-    second, second_events = _captured(scale, design, workload)
-    same = result_digest(first) == result_digest(second) and events_digest(
-        first_events
-    ) == events_digest(second_events)
-    return InvariantResult(
-        "seed-determinism",
-        same,
-        "" if same else "repeat run diverged from itself",
-    )
-
-
-def check_telemetry_transparency(
-    scale: Any, design: str, workload: str
-) -> InvariantResult:
-    """Attaching a telemetry bus never changes the result."""
-    observed, _ = _captured(scale, design, workload)
-    silent = simulate_cell(scale, design, workload)
-    same = result_digest(observed) == result_digest(silent)
-    return InvariantResult(
-        "telemetry-transparency",
-        same,
-        "" if same else "telemetry-on result differs from telemetry-off",
-    )
-
-
-def check_epoch_consistency(
-    scale: Any, design: str, workload: str
-) -> InvariantResult:
+def check_epoch_consistency(scale: Any, chunked: Run) -> InvariantResult:
     """Epoch samples are additive and consistent with the result.
 
     Cumulative counters must be non-decreasing, per-epoch differences
@@ -307,7 +279,7 @@ def check_epoch_consistency(
     :class:`~repro.telemetry.TimelineRecorder` must fold the stream
     into exactly one timeline row per epoch.
     """
-    result, events = _captured(scale, design, workload)
+    result, events, _ = chunked
     samples = [e for e in events if isinstance(e, EpochSample)]
     faults = [e for e in events if isinstance(e, PageFaultEvent)]
     problems: List[str] = []
@@ -380,22 +352,15 @@ def check_warmup_boundary(
     scalar loop's record — including a zero-length warmup and a
     one-access warmup that ends mid-chunk.
     """
-    decision = kernel_decision(design, scale.config())
-    problems: List[str] = []
-    for warmup in (0, 1):
-        probe = dataclasses.replace(scale, warmup_per_core=warmup)
-        reference, ref_events = _captured(
-            probe, design, workload, kernel="scalar"
+    problems = [
+        f"chunked kernel diverges from scalar at warmup={warmup}"
+        for warmup in (0, 1)
+        if not kernel_parity(
+            dataclasses.replace(scale, warmup_per_core=warmup),
+            design,
+            workload,
         )
-        fast, fast_events = _captured(
-            probe, design, workload, kernel=decision.kernel
-        )
-        if result_digest(reference) != result_digest(fast) or events_digest(
-            ref_events
-        ) != events_digest(fast_events):
-            problems.append(
-                f"{decision.kernel} diverges from scalar at warmup={warmup}"
-            )
+    ]
     return InvariantResult(
         "warmup-boundary", not problems, "; ".join(problems)
     )
@@ -406,80 +371,70 @@ def check_coalesced_bytes(
 ) -> InvariantResult:
     """Identical concurrent serve requests share one byte-identical
     response body."""
-    from repro.serve import Client, ServerThread
-
     payload = dict(_serve_request(scale, design, workload), wait=True)
     bodies: List[bytes] = [b""] * clients
     errors: List[str] = []
 
-    with tempfile.TemporaryDirectory() as tmp:
-        with ServerThread(
-            port=0, jobs=1, cache=None, checkpoint_dir=Path(tmp)
-        ) as server:
-            def fetch(slot: int) -> None:
-                try:
-                    client = Client("127.0.0.1", server.port)
-                    _, _, raw = client.request(
-                        "POST", "/v1/simulate", payload
-                    )
-                    bodies[slot] = raw
-                except Exception as exc:  # pragma: no cover — network
-                    errors.append(f"client {slot}: {exc!r}")
+    with _server() as client:
+        def fetch(slot: int) -> None:
+            try:
+                _, _, bodies[slot] = client.request(
+                    "POST", "/v1/simulate", payload
+                )
+            except Exception as exc:  # pragma: no cover — network
+                errors.append(f"client {slot}: {exc!r}")
 
-            threads = [
-                threading.Thread(target=fetch, args=(slot,))
-                for slot in range(clients)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+        threads = [
+            threading.Thread(target=fetch, args=(slot,))
+            for slot in range(clients)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
 
     if errors:
         return InvariantResult("coalesced-bytes", False, "; ".join(errors))
-    identical = len(set(bodies)) == 1 and bodies[0] != b""
-    return InvariantResult(
+    return verdict(
         "coalesced-bytes",
-        identical,
-        "" if identical else
+        len(set(bodies)) == 1 and bodies[0] != b"",
         f"{len(set(bodies))} distinct response bodies across "
         f"{clients} identical requests",
     )
 
 
 def run_invariants(
-    scale: Any,
-    design: str,
-    workload: str,
-    *,
-    serve: bool = True,
+    scale: Any, design: str, workload: str
 ) -> List[InvariantResult]:
-    """The metamorphic pack for one cell."""
-    invariants = [
-        check_seed_determinism(scale, design, workload),
-        check_telemetry_transparency(scale, design, workload),
-        check_epoch_consistency(scale, design, workload),
+    """The metamorphic pack for one cell, over one captured chunked
+    run."""
+    chunked = simulate_run(scale, design, workload)
+    return [
+        *check_repeatability(scale, design, workload, chunked),
+        check_epoch_consistency(scale, chunked),
         check_warmup_boundary(scale, design, workload),
+        check_coalesced_bytes(scale, design, workload),
     ]
-    if serve:
-        invariants.append(check_coalesced_bytes(scale, design, workload))
-    return invariants
 
 
 __all__ = [
     "InvariantResult",
-    "PATH_CACHE_COLD",
     "PATH_CACHE_WARM",
     "PATH_POOL_ARENA",
     "PATH_SCALAR",
     "PATH_SERIAL",
     "PATH_SERVE",
+    "PATH_SWEEP",
     "PathResult",
+    "Run",
     "check_coalesced_bytes",
     "check_epoch_consistency",
-    "check_seed_determinism",
-    "check_telemetry_transparency",
+    "check_repeatability",
     "check_warmup_boundary",
+    "kernel_parity",
     "run_execution_paths",
     "run_invariants",
+    "same_bytes",
+    "simulate_run",
+    "verdict",
 ]

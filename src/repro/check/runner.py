@@ -9,8 +9,9 @@ Orchestrates the whole ``python -m repro.experiments check`` flow:
    the same runtime every figure uses is itself under test) and
    compare each cell's digests against the
    :class:`~repro.check.GoldenStore`;
-3. run the differential execution-path oracle and the metamorphic
-   invariant pack on the sampled cells;
+3. run the differential execution-path oracle on the sampled cells —
+   the golden sweep's own digests are its first path — and the
+   metamorphic invariant pack on the first few;
 4. fuzz a bounded set of sampled configurations;
 5. write the schema-versioned ``CHECK_report.json``.
 
@@ -30,7 +31,12 @@ from repro.check.canonical import events_digest, result_digest
 from repro.check.fuzz import run_fuzz
 from repro.check.goldens import GoldenStore, default_goldens_dir
 from repro.check.goldens import scale_identity
-from repro.check.oracle import run_execution_paths, run_invariants
+from repro.check.oracle import (
+    PATH_SWEEP,
+    PathResult,
+    run_execution_paths,
+    run_invariants,
+)
 from repro.check.report import (
     GOLDEN_BLESSED,
     GOLDEN_MATCH,
@@ -118,17 +124,14 @@ def run_check(
     goldens_dir: Optional[Path | str] = None,
     jobs: int = 1,
     fuzz: int = DEFAULT_FUZZ,
-    pool: bool = True,
-    serve: bool = True,
     deep: bool = True,
     echo: Optional[Printer] = None,
 ) -> CheckReport:
     """Run the conformance check; returns the full report.
 
     ``deep=False`` skips the differential/metamorphic/fuzz phases and
-    only verifies golden digests (the fast path tests use).  ``pool``
-    and ``serve`` gate the process-pool and HTTP paths inside the deep
-    phase.  ``echo`` receives progress lines (default: stderr).
+    only verifies golden digests (the fast path tests use).  ``echo``
+    receives progress lines (default: stderr).
     """
     if scale is None:
         from repro.experiments.runner import SMOKE_SCALE
@@ -229,15 +232,19 @@ def run_check(
                 f"{cell.design}/{cell.workload} "
                 f"({index + 1}/{len(report.cells)})"
             )
-            cell.paths = run_execution_paths(
-                scale, cell.design, cell.workload, pool=pool, serve=serve
+            sweep = PathResult(
+                PATH_SWEEP, cell.result_digest, cell.events_digest,
+                detail=f"jobs={jobs}, arena",
+            )
+            cell.paths = [sweep] + run_execution_paths(
+                scale, cell.design, cell.workload
             )
         for cell in report.cells[:MAX_INVARIANT_CELLS]:
             echo(
                 f"[check] metamorphic pack {cell.design}/{cell.workload}"
             )
             cell.invariants = run_invariants(
-                scale, cell.design, cell.workload, serve=serve
+                scale, cell.design, cell.workload
             )
         if fuzz > 0:
             echo(f"[check] fuzzing {fuzz} sampled config(s)")

@@ -84,8 +84,6 @@ class Dispatcher:
         self._wake = asyncio.Event()
         self._stop = False
         self._task: Optional[asyncio.Task] = None
-        #: (config-relevant scale fields, design) -> KernelDecision.
-        self._kernel_cache: Dict[tuple, tuple] = {}
 
     # -- lifecycle -----------------------------------------------------
 
@@ -131,7 +129,6 @@ class Dispatcher:
             job.attempts += 1
         self.metrics.batches += 1
         self.metrics.worker_cells += len(cells)
-        self._record_kernels(scale, cells)
         if self.bus.enabled:
             self.bus.emit(
                 ServeEvent(
@@ -161,25 +158,6 @@ class Dispatcher:
                 if job is not None:
                     job.complete(result)
                     self.scheduler.finish(job)
-
-    def _record_kernels(self, scale, cells: List[Tuple[str, str]]) -> None:
-        """Tag each dispatched cell with the replay kernel its design
-        resolves to (``/metrics`` ``dispatch.kernels``); decisions are
-        memoised per (scale, design) since they never change."""
-        from repro.experiments.designs import kernel_decision
-
-        config = None
-        for design, _ in cells:
-            # Only fast_mb/ratio shape the SystemConfig the decision
-            # depends on (benchmarks vary per batch, irrelevantly).
-            key = (scale.fast_mb, scale.ratio, design)
-            decision = self._kernel_cache.get(key)
-            if decision is None:
-                if config is None:
-                    config = scale.config()
-                decision = kernel_decision(design, config)
-                self._kernel_cache[key] = decision
-            self.metrics.record_kernel(decision)
 
     def _fail_cell(
         self,

@@ -21,12 +21,15 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Any, Deque, Dict, Optional
+from typing import Any, Deque, Dict
 
 #: Version of the ``GET /metrics`` payload shape.
 #: 2: ``dispatch.kernels`` — dispatched cells by resolved replay
 #:    kernel, keyed ``"kernel[reason]"``.
-METRICS_SCHEMA_VERSION = 2
+#: 3: ``dispatch.kernels`` counts simulated cells (the executor's own
+#:    tally), not dispatched ones: a cache hit inside a batch picks no
+#:    kernel.
+METRICS_SCHEMA_VERSION = 3
 
 #: How a completed request was served (latency reservoir tags).
 SERVED_FAST = "served"        # cache / job-table / coalesced — no worker
@@ -66,21 +69,12 @@ class ServerMetrics:
         # Dispatch path.
         self.batches = 0
         self.worker_cells = 0   # cells handed to the sweep executor
-        #: Dispatched cells by resolved replay kernel:
-        #: ``"kernel[reason]"`` -> count.
-        self.kernels: Dict[str, int] = {}
         self._latencies: Deque[tuple] = deque(maxlen=window)
 
     # -- recording -----------------------------------------------------
 
     def record_latency(self, seconds: float, source: str) -> None:
         self._latencies.append((seconds, source))
-
-    def record_kernel(self, decision) -> None:
-        """Count one dispatched cell's replay kernel (a
-        :class:`~repro.sim.KernelDecision` or ``(kernel, reason)``)."""
-        key = f"{decision[0]}[{decision[1]}]"
-        self.kernels[key] = self.kernels.get(key, 0) + 1
 
     # -- derived -------------------------------------------------------
 
@@ -127,9 +121,11 @@ class ServerMetrics:
         *,
         queue_depth: int,
         in_flight: int,
-        executor_summary: Optional[str] = None,
+        kernels: Dict[str, int],
     ) -> Dict[str, Any]:
-        """The ``GET /metrics`` payload (see docs/SERVING.md)."""
+        """The ``GET /metrics`` payload (see docs/SERVING.md);
+        ``kernels`` is the sweep executor's simulated-cell tally by
+        replay kernel."""
         return {
             "schema": METRICS_SCHEMA_VERSION,
             "queue_depth": queue_depth,
@@ -151,7 +147,7 @@ class ServerMetrics:
             "dispatch": {
                 "batches": self.batches,
                 "worker_cells": self.worker_cells,
-                "kernels": dict(sorted(self.kernels.items())),
+                "kernels": dict(sorted(kernels.items())),
             },
             "cache_hit_ratio": round(self.cache_hit_ratio, 4),
             "latency": self.latency_block(),

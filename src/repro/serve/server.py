@@ -422,6 +422,8 @@ class SimServer:
                 self.metrics.snapshot(
                     queue_depth=self.scheduler.queue_depth,
                     in_flight=self.scheduler.in_flight,
+                    # A copy: the executor thread writes the tally.
+                    kernels=dict(self.executor.metrics.kernels),
                 )
             ),
         )

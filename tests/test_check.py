@@ -4,9 +4,13 @@ CLI exit codes — including the mandated regression test that an
 injected digest mismatch makes ``check`` exit non-zero.
 """
 
+import dataclasses
 import hashlib
 import json
+import multiprocessing
+import os
 import shutil
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +40,23 @@ from repro.check.canonical import (
     _generic_line,
     _line_encoder,
 )
-from repro.check.fuzz import ACCESSES_RANGE, COPIES_CHOICES, FAST_MB_CHOICES
+from repro.check.fuzz import (
+    ACCESSES_RANGE,
+    COPIES_CHOICES,
+    FAST_MB_CHOICES,
+    run_fuzz,
+)
+from repro.check.oracle import (
+    PATH_CACHE_WARM,
+    PATH_POOL_ARENA,
+    PATH_SCALAR,
+    PATH_SERIAL,
+    PATH_SERVE,
+    PATH_SWEEP,
+    run_execution_paths,
+    run_invariants,
+)
+from repro.check.report import CellReport
 from repro.experiments.__main__ import main
 from repro.experiments.designs import REGISTRY
 from repro.experiments.runner import SMOKE_SCALE
@@ -373,6 +393,217 @@ class TestRunCheck:
         assert wire["scale"] == scale_identity(TINY)
         out = report.write(runtime_dirs.scratch / "CHECK_report.json")
         assert json.loads(out.read_text()) == wire
+
+
+class SimulationTally:
+    """Wraps ``repro.runtime.cells.simulate``: counts every call (pool
+    workers too, through a fork-shared counter), tags each call made in
+    this process, and perturbs the result of the calls a test picks.
+
+    A call's tag is ``(kernel, telemetry on, where, trace attached,
+    warmup)``; ``where`` is ``"main"`` (this thread), ``"thread"``
+    (another thread: a server's executor) or ``"worker"`` (a pool
+    process).
+    """
+
+    def __init__(self, monkeypatch, perturb=lambda call, seen: False):
+        import repro.runtime.cells as cells
+
+        self.total = multiprocessing.Value("i", 0)
+        self.calls = []
+        parent = os.getpid()
+        simulate = cells.simulate
+
+        def wrapper(architecture, workload, **kwargs):
+            with self.total.get_lock():
+                self.total.value += 1
+            telemetry = kwargs.get("telemetry")
+            if os.getpid() != parent:
+                where = "worker"
+            elif threading.current_thread() is threading.main_thread():
+                where = "main"
+            else:
+                where = "thread"
+            call = (
+                kwargs.get("kernel", "auto"),
+                telemetry is not None and telemetry.enabled,
+                where,
+                getattr(workload, "trace", None) is not None,
+                kwargs.get("warmup_per_core"),
+            )
+            seen = self.calls.count(call)
+            if where != "worker":
+                self.calls.append(call)
+            result = simulate(architecture, workload, **kwargs)
+            if perturb(call, seen):
+                result = dataclasses.replace(result, swaps=result.swaps + 1)
+            return result
+
+        monkeypatch.setattr(cells, "simulate", wrapper)
+
+    def count(self, kernel, telemetry, thread, trace=False, warmup=None):
+        return sum(
+            1 for call in self.calls
+            if call[:4] == (kernel, telemetry, thread, trace)
+            and warmup in (None, call[4])
+        )
+
+
+#: A perturbation of the runs behind one execution path → the paths
+#: that must then disagree with the rest.  The warm cache replays what
+#: the serial run wrote, so it carries the serial run's perturbation.
+PATH_MUTATIONS = {
+    PATH_SCALAR: (
+        lambda call, seen: call[0] == "scalar", {PATH_SCALAR}
+    ),
+    PATH_SERIAL: (
+        lambda call, seen: call[:3] == ("auto", True, "main"),
+        {PATH_SERIAL, PATH_CACHE_WARM},
+    ),
+    PATH_POOL_ARENA: (
+        lambda call, seen: call[2] == "worker", {PATH_POOL_ARENA}
+    ),
+    PATH_SERVE: (lambda call, seen: call[2] == "thread", {PATH_SERVE}),
+}
+
+
+class TestOracleRunsEachPathOnce:
+    """The oracle runs every distinct execution path once per cell and
+    every verdict reads that run; perturbing any one path alone makes
+    the cell disagree, so no path goes unchecked."""
+
+    def test_execution_paths_simulate_each_path_once(self, monkeypatch):
+        tally = SimulationTally(monkeypatch)
+        paths = run_execution_paths(TINY, "PoM", "mcf")
+        assert [p.path for p in paths] == [
+            PATH_SCALAR, PATH_SERIAL, PATH_CACHE_WARM, PATH_POOL_ARENA,
+            PATH_SERVE,
+        ]
+        assert len({p.result_digest for p in paths}) == 1
+        assert tally.count("scalar", True, "main") == 1
+        assert tally.count("auto", True, "main") == 1      # serial, cold
+        assert tally.count("auto", False, "thread", trace=True) == 1
+        assert len(tally.calls) == 3                      # + serve
+        assert tally.total.value == 4                     # + the pool's
+        assert paths[2].detail == "served from disk"      # warm: none
+
+    def test_invariants_capture_the_chunked_run_once(self, monkeypatch):
+        tally = SimulationTally(monkeypatch)
+        invariants = run_invariants(TINY, "PoM", "mcf")
+        assert all(i.passed for i in invariants), invariants
+        warmup = TINY.warmup_per_core
+        # The shared capture and the seed-determinism repeat.
+        assert tally.count("auto", True, "main", warmup=warmup) == 2
+        assert tally.count("auto", False, "main", warmup=warmup) == 1
+        assert tally.count("scalar", True, "main") == 2   # warmup 0 and 1
+        assert tally.count("auto", True, "main") == 4     # + the same
+        assert tally.count("auto", False, "thread", trace=True) == 1
+        assert tally.total.value == len(tally.calls) == 8
+
+    def test_fuzz_captures_the_chunked_run_once(self, monkeypatch):
+        tally = SimulationTally(monkeypatch)
+        outcomes = run_fuzz(3, 2)
+        assert all(o.passed for o in outcomes)
+        assert tally.count("auto", True, "main") == 2 * 2
+        assert tally.count("scalar", True, "main") == 2
+        assert tally.count("auto", False, "main") == 2
+        assert tally.total.value == len(tally.calls) == 2 * 4
+
+    @pytest.mark.parametrize("path", list(PATH_MUTATIONS))
+    def test_perturbing_one_path_breaks_agreement(self, monkeypatch, path):
+        perturb, diverged = PATH_MUTATIONS[path]
+        SimulationTally(monkeypatch, perturb=perturb)
+        self._assert_only_diverged(
+            run_execution_paths(TINY, "PoM", "mcf"), diverged
+        )
+
+    def test_perturbed_warm_cache_breaks_agreement(self, monkeypatch):
+        from repro.runtime import ResultCache
+
+        get = ResultCache.get
+
+        def perturbed(self, *args):
+            hit = get(self, *args)
+            if hit is not None:
+                hit = dataclasses.replace(hit, swaps=hit.swaps + 1)
+            return hit
+
+        monkeypatch.setattr(ResultCache, "get", perturbed)
+        self._assert_only_diverged(
+            run_execution_paths(TINY, "PoM", "mcf"), {PATH_CACHE_WARM}
+        )
+
+    def test_perturbed_golden_sweep_breaks_agreement(
+        self, monkeypatch, runtime_dirs
+    ):
+        run_check(
+            TINY, bless=True, note="initial", deep=False,
+            goldens_dir=runtime_dirs.goldens, echo=quiet,
+        )
+        # The golden sweep is the only main-thread run on an arena.
+        SimulationTally(
+            monkeypatch,
+            perturb=lambda call, seen: call[2:4] == ("main", True),
+        )
+        report = run_check(
+            TINY, sample=1, fuzz=0, goldens_dir=runtime_dirs.goldens,
+            echo=quiet,
+        )
+        (cell,) = report.cells
+        assert cell.paths[0].path == PATH_SWEEP
+        assert cell.paths[0].detail == "jobs=1, arena"
+        self._assert_only_diverged(cell.paths, {PATH_SWEEP})
+
+    @staticmethod
+    def _assert_only_diverged(paths, diverged):
+        cell = CellReport("PoM", "mcf", "", "", GOLDEN_MATCH, paths=paths)
+        assert not cell.paths_agree
+        odd = {p.result_digest for p in paths if p.path in diverged}
+        rest = {p.result_digest for p in paths if p.path not in diverged}
+        assert len(odd) == len(rest) == 1
+        assert odd != rest
+
+    @pytest.mark.parametrize("run, failed", [
+        # The shared capture feeds all three verdicts: a cell whose
+        # chunked run does not repeat fails determinism and parity.
+        ("chunked", {"kernel-parity", "seed-determinism",
+                     "telemetry-transparency"}),
+        ("repeat", {"seed-determinism"}),
+        ("scalar", {"kernel-parity"}),
+        ("silent", {"telemetry-transparency"}),
+    ])
+    def test_perturbed_fuzz_run_fails_its_verdicts(
+        self, monkeypatch, run, failed
+    ):
+        picks = {
+            "chunked": lambda call, seen: call[:2] == ("auto", True)
+            and seen == 0,
+            "repeat": lambda call, seen: call[:2] == ("auto", True)
+            and seen == 1,
+            "scalar": lambda call, seen: call[0] == "scalar",
+            "silent": lambda call, seen: call[:2] == ("auto", False),
+        }
+        SimulationTally(monkeypatch, perturb=picks[run])
+        (outcome,) = run_fuzz(3, 1)
+        assert {
+            i.name for i in outcome.invariants if not i.passed
+        } == failed
+
+    def test_perturbed_capture_fails_the_cell_pack(self, monkeypatch):
+        SimulationTally(
+            monkeypatch,
+            perturb=lambda call, seen: call[:3] == ("auto", True, "main")
+            and call[4] == TINY.warmup_per_core and seen == 0,
+        )
+        failed = {
+            i.name for i in run_invariants(TINY, "PoM", "mcf")
+            if not i.passed
+        }
+        # The shared capture feeds seed determinism, transparency and
+        # (through its swaps) the epoch totals.
+        assert failed == {
+            "seed-determinism", "telemetry-transparency", "epoch-consistency"
+        }
 
 
 class TestFuzzGenerator:

@@ -118,8 +118,13 @@ class TestMetrics:
         metrics = ServerMetrics()
         metrics.received = 3
         metrics.record_latency(0.5, "simulated")
-        snap = metrics.snapshot(queue_depth=2, in_flight=1)
+        kernels = {"batched[batch-capable]": 2,
+                   "batched-paged[pager-segmented]": 1}
+        snap = metrics.snapshot(queue_depth=2, in_flight=1, kernels=kernels)
         assert snap["schema"] == METRICS_SCHEMA_VERSION
+        assert list(snap["dispatch"]["kernels"].items()) == sorted(
+            kernels.items()
+        )
         assert snap["queue_depth"] == 2
         assert snap["in_flight"] == 1
         assert set(snap["requests"]) == {
@@ -361,6 +366,9 @@ class TestEndToEnd:
         assert warm["dispatch"]["worker_cells"] == (
             cold["dispatch"]["worker_cells"]
         )
+        # The kernel tally counts simulated cells: the repeat adds none.
+        assert sum(cold["dispatch"]["kernels"].values()) == 1
+        assert warm["dispatch"]["kernels"] == cold["dispatch"]["kernels"]
         assert warm["requests"]["job_hits"] == (
             cold["requests"]["job_hits"] + 1
         )
