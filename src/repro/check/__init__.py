@@ -3,11 +3,12 @@
 The correctness-tooling subsystem behind ``python -m repro.experiments
 check``: a content-addressed :class:`GoldenStore` of blessed result and
 event-stream digests (committed under ``tests/goldens/``), a
-differential oracle that runs each distinct execution path of a cell
-once — the golden sweep itself (chunked kernel, trace arena), the
-scalar reference, the serial runtime into a cold result cache, the
-warm replay of that cache, a worker pool on the arena, and the
-:mod:`repro.serve` round trip — and asserts byte-identical canonical
+differential oracle that runs each distinct execution path once per
+cell, each sweep path as one sweep over the sample — the golden sweep
+itself (chunked kernel, trace arena), the scalar reference, the serial
+runtime into a cold result cache, the warm replay of that cache, a
+worker pool on the arena, and the :mod:`repro.serve` round trip — and
+asserts byte-identical canonical
 results, a metamorphic invariant pack and a bounded seeded config
 fuzzer, both reading one captured chunked run per cell.  See
 ``docs/TESTING.md`` for the workflow.
@@ -33,6 +34,7 @@ from repro.check.oracle import (
     InvariantResult,
     PathResult,
     run_execution_paths,
+    run_execution_paths_batch,
     run_invariants,
 )
 from repro.check.report import (
@@ -80,6 +82,7 @@ __all__ = [
     "run_check",
     "run_check_command",
     "run_execution_paths",
+    "run_execution_paths_batch",
     "run_fuzz",
     "run_invariants",
     "sample_cells",

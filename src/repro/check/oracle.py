@@ -6,10 +6,11 @@ chunked fast kernel (with or without its pager), the sweep runtime
 inline or in worker processes replaying the parent's published trace
 arena, warm :class:`ResultCache` replays, and the :mod:`repro.serve`
 round trip.  The paper's claims rest on all of them being *the same
-simulation*; :func:`run_execution_paths` runs each distinct one once
-for a cell and reduces it to canonical digests, and
-:func:`run_invariants` adds metamorphic properties no single path can
-check against itself (seed determinism, telemetry transparency, epoch
+simulation*; :func:`run_execution_paths_batch` runs each distinct one
+once for every cell of a batch (each sweep path as one sweep over the
+batch, the scalar reference per cell) and reduces it to canonical
+digests, and :func:`run_invariants` adds metamorphic properties no
+single path can check against itself (seed determinism, telemetry transparency, epoch
 additivity, warmup-boundary kernel parity, coalesced-response byte
 equality).  The invariants read one captured chunked run per cell,
 and every invariant that compares two runs uses :func:`same_bytes`.
@@ -26,25 +27,39 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.check.canonical import events_digest, payload_digest, result_digest
 from repro.check.goldens import scale_identity
-from repro.runtime import ResultCache, SweepExecutor
+from repro.runtime import CellStat, ResultCache, SweepExecutor
 from repro.runtime.cells import simulate_cell
+from repro.runtime.metrics import SOURCE_DISK
 from repro.telemetry import EventBus
 from repro.telemetry.events import EpochSample, PageFaultEvent, SegmentSwap
 from repro.telemetry.recorder import EventLog, TimelineRecorder
 
-#: Path names of the differential oracle.  :func:`run_execution_paths`
-#: runs the last five, in this order; the check runner adds the golden
-#: sweep's own digests as the first.
+#: Path names of the differential oracle.
+#: :func:`run_execution_paths_batch` runs the last five, in this order;
+#: the check runner adds the golden sweep's own digests as the first.
 PATH_SWEEP = "executor:sweep"
 PATH_SCALAR = "kernel:scalar"
 PATH_SERIAL = "executor:serial-cold-cache"
 PATH_CACHE_WARM = "cache:warm"
 PATH_POOL_ARENA = "executor:pool-arena"
 PATH_SERVE = "serve:roundtrip"
+
+#: A ``(design, workload)`` cell.
+Cell = Tuple[str, str]
 
 
 @dataclass(frozen=True)
@@ -162,88 +177,124 @@ def check_repeatability(
 # The differential execution-path oracle
 # ----------------------------------------------------------------------
 
-def _executor_path(
+def digested_sweep(
+    executor: SweepExecutor, scale: Any, cells: Sequence[Cell]
+) -> Tuple[Dict[Cell, Any], Dict[Cell, str], Dict[Cell, str]]:
+    """Run ``cells`` on ``executor`` (which must capture telemetry) →
+    ``(results, events digests, sources)`` keyed by cell, the source
+    being each cell's :attr:`CellStat.source`.  Each stream is digested
+    and dropped as its cell lands, so a sweep holds one stream at a
+    time, not the whole batch's."""
+    streams: Dict[Cell, str] = {}
+    sources: Dict[Cell, str] = {}
+
+    def digest_and_drop(stat: CellStat, done: int, total: int) -> None:
+        cell = (stat.design, stat.workload)
+        sources[cell] = stat.source
+        streams[cell] = events_digest(executor.events.pop(cell, []))
+
+    executor.on_cell = digest_and_drop
+    results = executor.run_cells(scale, list(cells))
+    return results, streams, sources
+
+
+def _sweep(
     scale: Any,
-    design: str,
-    workload: str,
+    cells: Sequence[Cell],
     *,
     jobs: int,
     arena: bool,
     cache: Optional[ResultCache] = None,
-) -> Tuple[Any, List[Any], SweepExecutor]:
-    """One cell through the sweep runtime → result, events, executor."""
+) -> Tuple[Dict[Cell, Any], Dict[Cell, str], Dict[Cell, str]]:
+    """All ``cells`` through one fault-free sweep with telemetry
+    capture (see :func:`digested_sweep`)."""
     executor = SweepExecutor(
-        jobs=jobs,
-        cache=cache,
-        faults=None,
-        telemetry=EventBus(),
-        arena=arena,
+        jobs=jobs, cache=cache, faults=None, telemetry=EventBus(), arena=arena
     )
-    cell_scale = dataclasses.replace(scale, benchmarks=(workload,))
-    results = executor.run_cells(cell_scale, [(design, workload)])
-    events = executor.events.get((design, workload), [])
-    return results[(design, workload)], list(events), executor
+    return digested_sweep(executor, scale, cells)
+
+
+def _sweep_paths(
+    scale: Any, cells: Sequence[Cell]
+) -> Dict[Cell, List[PathResult]]:
+    """Every path but the scalar one, each run once over all ``cells``
+    → each cell's results in path order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        serial, serial_streams, _ = _sweep(
+            scale, cells, jobs=1, arena=False, cache=ResultCache(Path(tmp))
+        )
+        warm, _, sources = _sweep(
+            scale, cells, jobs=1, arena=False, cache=ResultCache(Path(tmp))
+        )
+    pool, pool_streams, _ = _sweep(scale, cells, jobs=2, arena=True)
+    with _server() as client:
+        served = {
+            cell: client.simulate(_serve_request(scale, *cell))["result"]
+            for cell in cells
+        }
+    # A warm cache that re-simulates a cell is itself a conformance
+    # failure: its digest is forced to disagree so the caller flags
+    # that cell (and only that one).
+    resimulated = PathResult(
+        PATH_CACHE_WARM, "cache-warm-resimulated",
+        detail="unexpected: 1 cell(s) re-simulated",
+    )
+    return {
+        cell: [
+            PathResult(
+                PATH_SERIAL, result_digest(serial[cell]), serial_streams[cell],
+                detail="jobs=1, no arena, cold cache",
+            ),
+            PathResult(
+                PATH_CACHE_WARM, result_digest(warm[cell]),
+                detail="served from disk",
+            ) if sources[cell] == SOURCE_DISK else resimulated,
+            PathResult(
+                PATH_POOL_ARENA, result_digest(pool[cell]), pool_streams[cell],
+                detail="jobs=2, arena",
+            ),
+            PathResult(PATH_SERVE, payload_digest(served[cell])),
+        ]
+        for cell in cells
+    }
+
+
+def run_execution_paths_batch(
+    scale: Any,
+    cells: Sequence[Cell],
+    *,
+    on_cell: Optional[Callable[[int, Cell], None]] = None,
+) -> Dict[Cell, List[PathResult]]:
+    """Run each distinct execution path once over ``cells`` → each
+    cell's :class:`PathResult` list, in path order.
+
+    The sweep paths run once each over the whole batch: the inline
+    serial sweep runtime with the arena off, writing a fresh
+    :class:`ResultCache`; a second executor that must replay that cache
+    without simulating (judged per cell); a 2-worker process pool
+    replaying the trace arena; and one :mod:`repro.serve` server on an
+    ephemeral port, sent one request per cell.  The forced-scalar
+    reference then runs per cell, after ``on_cell(index, cell)``.
+
+    The caller asserts that every returned digest agrees; this function
+    only measures.
+    """
+    swept = _sweep_paths(scale, cells)
+    paths: Dict[Cell, List[PathResult]] = {}
+    for index, cell in enumerate(cells):
+        if on_cell is not None:
+            on_cell(index, cell)
+        scalar = simulate_run(scale, *cell, kernel="scalar")
+        paths[cell] = [PathResult(PATH_SCALAR, *scalar.digests), *swept[cell]]
+    return paths
 
 
 def run_execution_paths(
     scale: Any, design: str, workload: str
 ) -> List[PathResult]:
-    """Run each distinct execution path once for one cell.
-
-    The forced-scalar reference; the inline serial sweep runtime with
-    the arena off, writing a fresh :class:`ResultCache`; a second
-    executor that must replay that cache without simulating; a 2-worker
-    process pool replaying the trace arena; and a full
-    :mod:`repro.serve` HTTP round trip on an ephemeral port.
-
-    The caller asserts that every returned digest agrees; this function
-    only measures.
-    """
-    scalar = simulate_run(scale, design, workload, kernel="scalar")
-    paths = [PathResult(PATH_SCALAR, *scalar.digests)]
-
-    with tempfile.TemporaryDirectory() as tmp:
-        result, events, _ = _executor_path(
-            scale, design, workload, jobs=1, arena=False,
-            cache=ResultCache(Path(tmp)),
-        )
-        paths.append(
-            PathResult(
-                PATH_SERIAL, result_digest(result), events_digest(events),
-                detail="jobs=1, no arena, cold cache",
-            )
-        )
-        result, _, warm = _executor_path(
-            scale, design, workload, jobs=1, arena=False,
-            cache=ResultCache(Path(tmp)),
-        )
-    # A warm cache that re-simulates is itself a conformance failure:
-    # its digest is forced to disagree so the caller flags the cell.
-    simulated = warm.metrics.simulated
-    paths.append(
-        PathResult(
-            PATH_CACHE_WARM,
-            result_digest(result) if simulated == 0
-            else "cache-warm-resimulated",
-            detail="served from disk" if simulated == 0
-            else f"unexpected: {simulated} cell(s) re-simulated",
-        )
-    )
-
-    result, events, _ = _executor_path(
-        scale, design, workload, jobs=2, arena=True
-    )
-    paths.append(
-        PathResult(
-            PATH_POOL_ARENA, result_digest(result), events_digest(events),
-            detail="jobs=2, arena",
-        )
-    )
-
-    with _server() as client:
-        body = client.simulate(_serve_request(scale, design, workload))
-    paths.append(PathResult(PATH_SERVE, payload_digest(body["result"])))
-    return paths
+    """:func:`run_execution_paths_batch` for one cell."""
+    cell = (design, workload)
+    return run_execution_paths_batch(scale, [cell])[cell]
 
 
 def _serve_request(scale: Any, design: str, workload: str) -> Dict[str, Any]:
@@ -431,8 +482,10 @@ __all__ = [
     "check_epoch_consistency",
     "check_repeatability",
     "check_warmup_boundary",
+    "digested_sweep",
     "kernel_parity",
     "run_execution_paths",
+    "run_execution_paths_batch",
     "run_invariants",
     "same_bytes",
     "simulate_run",

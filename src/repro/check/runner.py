@@ -10,8 +10,9 @@ Orchestrates the whole ``python -m repro.experiments check`` flow:
    compare each cell's digests against the
    :class:`~repro.check.GoldenStore`;
 3. run the differential execution-path oracle on the sampled cells —
-   the golden sweep's own digests are its first path — and the
-   metamorphic invariant pack on the first few;
+   the golden sweep's own digests are its first path, each other sweep
+   path runs once over the whole sample — and the metamorphic
+   invariant pack on the first few;
 4. fuzz a bounded set of sampled configurations;
 5. write the schema-versioned ``CHECK_report.json``.
 
@@ -24,17 +25,19 @@ from __future__ import annotations
 import random
 import sys
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import repro
-from repro.check.canonical import events_digest, result_digest
+from repro.check.canonical import result_digest
 from repro.check.fuzz import run_fuzz
 from repro.check.goldens import GoldenStore, default_goldens_dir
 from repro.check.goldens import scale_identity
 from repro.check.oracle import (
     PATH_SWEEP,
+    Cell,
     PathResult,
-    run_execution_paths,
+    digested_sweep,
+    run_execution_paths_batch,
     run_invariants,
 )
 from repro.check.report import (
@@ -45,7 +48,7 @@ from repro.check.report import (
     CellReport,
     CheckReport,
 )
-from repro.runtime import CellStat, SweepExecutor
+from repro.runtime import SweepExecutor
 from repro.telemetry import EventBus
 
 #: Defaults of the CLI subcommand.
@@ -57,7 +60,6 @@ DEFAULT_REPORT_OUT = "CHECK_report.json"
 #: oracle runs on every sampled cell, the invariant pack on this many.
 MAX_INVARIANT_CELLS = 3
 
-Cell = Tuple[str, str]
 Printer = Callable[[str], None]
 
 
@@ -88,29 +90,17 @@ def _simulate_sampled(
     scale: Any, cells: Sequence[Cell], jobs: int
 ) -> Tuple[dict, dict]:
     """Run the sampled cells through the sweep runtime with telemetry
-    capture → ``(results, events digests)`` keyed by cell.  Each stream
-    is digested and dropped as its cell lands, so the stage holds one
-    stream at a time, not the whole sample's.
+    capture → ``(results, events digests)`` keyed by cell, each stream
+    digested and dropped as its cell lands.
 
     No result cache: conformance must re-simulate (a warm cache would
     compare the store against itself).  No fault plan: an injected
     ``$REPRO_FAULTS`` must not fail — or excuse — a conformance run.
     """
-    streams: Dict[Cell, str] = {}
-
-    def digest_and_drop(stat: CellStat, done: int, total: int) -> None:
-        cell = (stat.design, stat.workload)
-        streams[cell] = events_digest(executor.events.pop(cell, []))
-
     executor = SweepExecutor(
-        jobs=jobs,
-        cache=None,
-        on_cell=digest_and_drop,
-        faults=None,
-        telemetry=EventBus(),
-        arena=True,
+        jobs=jobs, cache=None, faults=None, telemetry=EventBus(), arena=True
     )
-    results = executor.run_cells(scale, list(cells))
+    results, streams, _ = digested_sweep(executor, scale, cells)
     return results, streams
 
 
@@ -226,19 +216,29 @@ def run_check(
         report.cells.append(cell)
 
     if deep and not bless:
-        for index, cell in enumerate(report.cells):
+        count = len(report.cells)
+        echo(
+            f"[check] differential oracle: sweep paths over {count} "
+            "cell(s) (serial cold cache, warm cache, pool, serve)"
+        )
+
+        def scalar_line(index: int, cell: Cell) -> None:
             echo(
-                f"[check] differential oracle "
-                f"{cell.design}/{cell.workload} "
-                f"({index + 1}/{len(report.cells)})"
+                f"[check] differential oracle {cell[0]}/{cell[1]} "
+                f"({index + 1}/{count})"
             )
+
+        paths = run_execution_paths_batch(
+            scale,
+            [(cell.design, cell.workload) for cell in report.cells],
+            on_cell=scalar_line,
+        )
+        for cell in report.cells:
             sweep = PathResult(
                 PATH_SWEEP, cell.result_digest, cell.events_digest,
                 detail=f"jobs={jobs}, arena",
             )
-            cell.paths = [sweep] + run_execution_paths(
-                scale, cell.design, cell.workload
-            )
+            cell.paths = [sweep] + paths[(cell.design, cell.workload)]
         for cell in report.cells[:MAX_INVARIANT_CELLS]:
             echo(
                 f"[check] metamorphic pack {cell.design}/{cell.workload}"

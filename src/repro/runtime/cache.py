@@ -6,11 +6,12 @@ Each ``(Scale, design, workload)`` simulation cell is deterministic
 CLI invocations.  The cache key is the SHA-256 of the canonical JSON of
 
     {scale fields, design label, workload name,
-     repro.__version__, result schema version}
+     repro.__version__, result schema version, model source digest}
 
-so any change to the experiment scale, the library version, or the wire
-format addresses a different entry — stale results are never returned,
-they are simply orphaned (and reclaimable with ``cache clear``).
+so any change to the experiment scale, the library version, the wire
+format or the source of the model packages (:data:`MODEL_PACKAGES`)
+addresses a different entry — stale results are never returned, they
+are simply orphaned (and reclaimable with ``cache clear``).
 
 Entries are one JSON file each, sharded by digest prefix
 (``<root>/ab/abcdef....json``).  The cache is unbounded; ``cache
@@ -19,6 +20,7 @@ clear`` prunes it.  All traffic is counted in :class:`CacheStats`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -32,6 +34,37 @@ from repro.sim import RESULT_SCHEMA_VERSION, SimulationResult
 #: ``json.dumps(..., sort_keys=True)`` without building an encoder per
 #: key (same defaults, so the same bytes).
 _KEY_ENCODER = json.JSONEncoder(sort_keys=True)
+
+#: The modules and packages of ``repro`` whose source produces a
+#: :class:`~repro.sim.SimulationResult`; the cache key carries a digest
+#: of their bytes (:func:`model_digest`).
+MODEL_PACKAGES = (
+    "config", "sim", "arch", "core", "dram", "osmodel", "workloads",
+    "cpu", "stats", "trace",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def model_digest() -> str:
+    """SHA-256 over the sorted relative paths and bytes of every ``.py``
+    file of :data:`MODEL_PACKAGES`, computed once per process.
+
+    Any edit to the model — a committed change or an uncommitted local
+    one, a comment included — addresses new cache entries, so a warm
+    cache never serves results the current code would not produce.
+    """
+    root = Path(__file__).resolve().parents[1]
+    files = sorted(
+        path.relative_to(root).as_posix()
+        for name in MODEL_PACKAGES
+        for pattern in (f"{name}.py", f"{name}/**/*.py")
+        for path in root.glob(pattern)
+    )
+    digest = hashlib.sha256()
+    for relative in files:
+        digest.update(relative.encode() + b"\0")
+        digest.update((root / relative).read_bytes() + b"\0")
+    return digest.hexdigest()
 
 
 def default_cache_dir() -> Path:
@@ -100,6 +133,7 @@ class ResultCache:
         or which :mod:`repro.serve` dispatch batch — it happened to
         run in.  The other fields are scalars, read as they are (the
         JSON ``dataclasses.asdict`` would give, without its deep copy).
+        ``model`` is :func:`model_digest`.
         """
         return {
             "scale": {
@@ -111,6 +145,7 @@ class ResultCache:
             "workload": workload,
             "version": self.version,
             "result_schema": RESULT_SCHEMA_VERSION,
+            "model": model_digest(),
         }
 
     def _file(self, digest: str) -> str:
@@ -219,4 +254,10 @@ class ResultCache:
         return len(entries)
 
 
-__all__ = ["CacheStats", "ResultCache", "default_cache_dir"]
+__all__ = [
+    "CacheStats",
+    "MODEL_PACKAGES",
+    "ResultCache",
+    "default_cache_dir",
+    "model_digest",
+]

@@ -54,6 +54,7 @@ from repro.check.oracle import (
     PATH_SERVE,
     PATH_SWEEP,
     run_execution_paths,
+    run_execution_paths_batch,
     run_invariants,
 )
 from repro.check.report import CellReport
@@ -401,9 +402,9 @@ class SimulationTally:
     this process, and perturbs the result of the calls a test picks.
 
     A call's tag is ``(kernel, telemetry on, where, trace attached,
-    warmup)``; ``where`` is ``"main"`` (this thread), ``"thread"``
-    (another thread: a server's executor) or ``"worker"`` (a pool
-    process).
+    warmup, workload)``; ``where`` is ``"main"`` (this thread),
+    ``"thread"`` (another thread: a server's executor) or ``"worker"``
+    (a pool process).
     """
 
     def __init__(self, monkeypatch, perturb=lambda call, seen: False):
@@ -430,6 +431,7 @@ class SimulationTally:
                 where,
                 getattr(workload, "trace", None) is not None,
                 kwargs.get("warmup_per_core"),
+                workload.name,
             )
             seen = self.calls.count(call)
             if where != "worker":
@@ -449,6 +451,22 @@ class SimulationTally:
         )
 
 
+def perturb_warm_hits(monkeypatch, workload=None):
+    """Perturb every result a :class:`ResultCache` serves (of
+    ``workload`` alone, if given): only a warm replay reads one back."""
+    from repro.runtime import ResultCache
+
+    get = ResultCache.get
+
+    def perturbed(self, scale, design, name):
+        hit = get(self, scale, design, name)
+        if hit is not None and workload in (None, name):
+            hit = dataclasses.replace(hit, swaps=hit.swaps + 1)
+        return hit
+
+    monkeypatch.setattr(ResultCache, "get", perturbed)
+
+
 #: A perturbation of the runs behind one execution path → the paths
 #: that must then disagree with the rest.  The warm cache replays what
 #: the serial run wrote, so it carries the serial run's perturbation.
@@ -465,6 +483,12 @@ PATH_MUTATIONS = {
     ),
     PATH_SERVE: (lambda call, seen: call[2] == "thread", {PATH_SERVE}),
 }
+
+
+#: A two-cell batch (its first cell is the one the batch tests perturb)
+#: and a scale listing both workloads.
+BATCH = [("PoM", "mcf"), ("Chameleon", "lbm")]
+BATCH_SCALE = tiny_scale(accesses=60, num_copies=1, benchmarks=("mcf", "lbm"))
 
 
 class TestOracleRunsEachPathOnce:
@@ -518,20 +542,31 @@ class TestOracleRunsEachPathOnce:
         )
 
     def test_perturbed_warm_cache_breaks_agreement(self, monkeypatch):
-        from repro.runtime import ResultCache
-
-        get = ResultCache.get
-
-        def perturbed(self, *args):
-            hit = get(self, *args)
-            if hit is not None:
-                hit = dataclasses.replace(hit, swaps=hit.swaps + 1)
-            return hit
-
-        monkeypatch.setattr(ResultCache, "get", perturbed)
+        perturb_warm_hits(monkeypatch)
         self._assert_only_diverged(
             run_execution_paths(TINY, "PoM", "mcf"), {PATH_CACHE_WARM}
         )
+
+    @pytest.mark.parametrize("path", [*PATH_MUTATIONS, PATH_CACHE_WARM])
+    def test_a_batch_isolates_the_perturbed_cell(self, monkeypatch, path):
+        """Each sweep path runs once over the whole batch, yet a
+        perturbed run flags only its own cell and path."""
+        victim, bystander = BATCH
+        if path == PATH_CACHE_WARM:
+            perturb_warm_hits(monkeypatch, workload=victim[1])
+            diverged = {PATH_CACHE_WARM}
+        else:
+            perturb, diverged = PATH_MUTATIONS[path]
+            SimulationTally(
+                monkeypatch,
+                perturb=lambda call, seen: call[5] == victim[1]
+                and perturb(call, seen),
+            )
+        paths = run_execution_paths_batch(BATCH_SCALE, BATCH)
+        self._assert_only_diverged(paths[victim], diverged)
+        assert CellReport(
+            *bystander, "", "", GOLDEN_MATCH, paths=paths[bystander]
+        ).paths_agree
 
     def test_perturbed_golden_sweep_breaks_agreement(
         self, monkeypatch, runtime_dirs
@@ -553,6 +588,69 @@ class TestOracleRunsEachPathOnce:
         assert cell.paths[0].path == PATH_SWEEP
         assert cell.paths[0].detail == "jobs=1, arena"
         self._assert_only_diverged(cell.paths, {PATH_SWEEP})
+
+    def test_a_warm_miss_flags_only_its_own_cell(self, monkeypatch):
+        from repro.runtime import ResultCache
+
+        get = ResultCache.get
+        monkeypatch.setattr(
+            ResultCache, "get",
+            lambda self, scale, design, workload: None
+            if workload == BATCH[0][1]
+            else get(self, scale, design, workload),
+        )
+        victim, bystander = BATCH
+        paths = run_execution_paths_batch(BATCH_SCALE, BATCH)
+        warm = {cell: paths[cell][2] for cell in paths}
+        assert warm[victim].path == PATH_CACHE_WARM
+        assert warm[victim].detail == "unexpected: 1 cell(s) re-simulated"
+        assert warm[bystander].detail == "served from disk"
+        self._assert_only_diverged(paths[victim], {PATH_CACHE_WARM})
+
+    def test_a_check_boots_one_pool_and_one_server(
+        self, monkeypatch, runtime_dirs
+    ):
+        """The sweep paths run once per check, not once per cell: one
+        pooled sweep and one oracle server, plus one server per
+        coalesced-bytes invariant."""
+        from repro.check.runner import MAX_INVARIANT_CELLS
+        from repro.runtime import SweepExecutor
+        from repro.serve import ServerThread
+
+        run_check(
+            TINY, bless=True, note="initial", deep=False,
+            goldens_dir=runtime_dirs.goldens, echo=quiet,
+        )
+        counts = {"_run_supervised": 0, "_spawn": 0, "start": 0}
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(SweepExecutor, "_run_supervised")
+        counting(SweepExecutor, "_spawn")
+        counting(ServerThread, "start")
+        lines = []
+        report = run_check(
+            TINY, sample=2, fuzz=0, goldens_dir=runtime_dirs.goldens,
+            echo=lines.append,
+        )
+        assert report.passed
+        assert all(len(cell.paths) == 6 for cell in report.cells)
+        invariant_cells = min(2, MAX_INVARIANT_CELLS)
+        assert counts == {
+            "_run_supervised": 1,
+            "_spawn": 2,
+            "start": 1 + invariant_cells,
+        }
+        # A line per stage and per cell: the golden sweep, the batched
+        # sweep paths, each cell's scalar run, each invariant pack.
+        assert len(lines) == 2 + 2 + invariant_cells
 
     @staticmethod
     def _assert_only_diverged(paths, diverged):

@@ -4,18 +4,36 @@ maintenance, concurrent-writer safety."""
 
 import json
 import multiprocessing
+from pathlib import Path
 
 import pytest
 
+import repro
+import repro.runtime.cache as cache_module
 from repro.runtime import (
     ResultCache,
     corrupt_cache_entry,
     default_cache_dir,
     simulate_cell,
 )
+from repro.runtime.cache import MODEL_PACKAGES, model_digest
 from tests.conftest import tiny_scale
 
 TINY_SCALE = tiny_scale(accesses=100)
+
+#: The modules and packages of ``src/repro`` whose source does not go
+#: into a cell's result: the facade and version, the trace-driven cache
+#: simulator, conformance tooling, figure runners, the sweep runtime,
+#: the server and telemetry (results are telemetry-transparent).
+NON_MODEL_PACKAGES = (
+    "__init__", "_version", "api", "cachesim", "check", "experiments",
+    "runtime", "serve", "telemetry",
+)
+
+
+def pin_model(monkeypatch, digest):
+    """Key every cache as if the model source hashed to ``digest``."""
+    monkeypatch.setattr(cache_module, "model_digest", lambda: digest)
 
 
 @pytest.fixture(scope="module")
@@ -69,9 +87,35 @@ class TestInvalidation:
             == result
         )
 
-    def test_default_version_is_package_version(self, tmp_path):
-        import repro
+    def test_model_change_invalidates(self, tmp_path, result, monkeypatch):
+        pin_model(monkeypatch, "a" * 64)
+        ResultCache(tmp_path).put(TINY_SCALE, "PoM", "mcf", result)
+        pin_model(monkeypatch, "b" * 64)
+        other = ResultCache(tmp_path)
+        assert other.get(TINY_SCALE, "PoM", "mcf") is None
+        other.put(TINY_SCALE, "PoM", "mcf", result)
+        assert other.info()["entries"] == 2
+        # Each model still addresses its own entry.
+        pin_model(monkeypatch, "a" * 64)
+        assert ResultCache(tmp_path).get(TINY_SCALE, "PoM", "mcf") == result
 
+    def test_model_digest_is_memoised_and_keyed(self, tmp_path):
+        assert model_digest() is model_digest()
+        description = ResultCache(tmp_path).describe(TINY_SCALE, "PoM", "mcf")
+        assert description["model"] == model_digest()
+
+    def test_every_package_is_classified(self):
+        """A new module or package of ``src/repro`` must be declared
+        model (its source keys the cache) or not."""
+        root = Path(repro.__file__).parent
+        found = {
+            path.stem for path in root.iterdir()
+            if path.suffix == ".py" or (path / "__init__.py").is_file()
+        }
+        assert not set(MODEL_PACKAGES) & set(NON_MODEL_PACKAGES)
+        assert found == set(MODEL_PACKAGES) | set(NON_MODEL_PACKAGES)
+
+    def test_default_version_is_package_version(self, tmp_path):
         assert ResultCache(tmp_path).version == repro.__version__
 
     def test_corrupt_entry_is_a_miss_and_removed(self, tmp_path, result):
@@ -176,13 +220,23 @@ class TestKeying:
     """Cache addresses are a contract with every existing cache
     directory: a key change orphans all of them."""
 
-    #: ``key(TINY_SCALE, "PoM", "mcf")`` at ``version="1.0.0"``, as
-    #: every earlier release of the cache computed it.
+    #: A stand-in for :func:`model_digest`, which moves with every edit
+    #: of the model source.
+    PINNED_MODEL = "0" * 64
+
+    #: ``key(TINY_SCALE, "PoM", "mcf")`` at ``version="1.0.0"`` and
+    #: :data:`PINNED_MODEL`.
     PINNED_KEY = (
+        "b0669b8c22b2dae4a3f4f3f48fd63765afcc49be4bb87916d5f09dc07ce32d7e"
+    )
+
+    #: Keys written before the model digest joined the key (its
+    #: description is :data:`PINNED_DESCRIPTION` without ``model``).
+    PRE_MODEL_KEY = (
         "ad2aa7a6ecd51cda6a7a2c64cd8720fbc82d55fc2a0f4c63280e3a1cc8ff3a08"
     )
 
-    #: The entry description those releases stored next to the result.
+    #: The entry description stored next to the result.
     PINNED_DESCRIPTION = {
         "scale": {
             "fast_mb": 1.0,
@@ -196,7 +250,12 @@ class TestKeying:
         "workload": "mcf",
         "version": "1.0.0",
         "result_schema": 1,
+        "model": PINNED_MODEL,
     }
+
+    @pytest.fixture(autouse=True)
+    def _pinned_model(self, monkeypatch):
+        pin_model(monkeypatch, self.PINNED_MODEL)
 
     def test_key_is_pinned(self, tmp_path):
         cache = ResultCache(tmp_path, version="1.0.0")
@@ -219,26 +278,29 @@ class TestKeying:
         assert path.parent.name == self.PINNED_KEY[:2]
         assert json.loads(path.read_text())["key"] == self.PINNED_DESCRIPTION
 
-    def test_reads_a_cache_directory_written_by_earlier_releases(
+    def test_an_entry_keyed_under_another_model_is_a_miss(
         self, tmp_path, result
     ):
         from repro.runtime import SweepExecutor
 
-        # The entry exactly as earlier releases laid it out: text JSON
-        # of {"key", "result"} at <root>/<key[:2]>/<key>.json.
-        entry = tmp_path / self.PINNED_KEY[:2] / f"{self.PINNED_KEY}.json"
-        entry.parent.mkdir()
-        entry.write_text(
-            json.dumps(
-                {"key": self.PINNED_DESCRIPTION, "result": result.to_dict()}
-            )
+        # The entry exactly as releases before the model digest laid
+        # it out: text JSON of {"key", "result"} at
+        # <root>/<key[:2]>/<key>.json.
+        old = dict(self.PINNED_DESCRIPTION)
+        del old["model"]
+        assert ResultCache._digest(old) == self.PRE_MODEL_KEY
+        entry = (
+            tmp_path / self.PRE_MODEL_KEY[:2] / f"{self.PRE_MODEL_KEY}.json"
         )
+        entry.parent.mkdir()
+        entry.write_text(json.dumps({"key": old, "result": result.to_dict()}))
         cache = ResultCache(tmp_path, version="1.0.0")
         executor = SweepExecutor(jobs=1, cache=cache, faults=None)
         results = executor.run(TINY_SCALE, ["PoM"])
-        assert executor.metrics.simulated == 0
-        assert cache.stats.hits == 1 and cache.stats.corrupt == 0
+        assert executor.metrics.simulated == 1
+        assert cache.stats.hits == 0 and cache.stats.corrupt == 0
         assert results[("PoM", "mcf")] == result
+        assert cache.info()["entries"] == 2  # the orphan stays until clear
 
     @pytest.mark.parametrize(
         "damage",
