@@ -8,12 +8,14 @@ arena, warm :class:`ResultCache` replays, and the :mod:`repro.serve`
 round trip.  The paper's claims rest on all of them being *the same
 simulation*; :func:`run_execution_paths_batch` runs each distinct one
 once for every cell of a batch (each sweep path as one sweep over the
-batch, the scalar reference per cell) and reduces it to canonical
-digests, and :func:`run_invariants` adds metamorphic properties no
-single path can check against itself (seed determinism, telemetry transparency, epoch
-additivity, warmup-boundary kernel parity, coalesced-response byte
-equality).  The invariants read one captured chunked run per cell,
-and every invariant that compares two runs uses :func:`same_bytes`.
+batch; the scalar reference per cell, all of them in one forked child
+that computes beside the parent's serial and serve stages) and reduces
+it to canonical digests, and :func:`run_invariants` adds metamorphic
+properties no single path can check against itself (seed determinism,
+telemetry transparency, epoch additivity, warmup-boundary kernel
+parity, coalesced-response byte equality).  The invariants read one
+captured chunked run per cell, and every invariant that compares two
+runs uses :func:`same_bytes`.
 
 Everything here is pure measurement: callers (the check runner, the
 CLI, tests) compare the returned digests and decide pass/fail.
@@ -24,8 +26,10 @@ from __future__ import annotations
 import dataclasses
 import tempfile
 import threading
-from contextlib import contextmanager
+import traceback
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from multiprocessing import connection, get_context
 from pathlib import Path
 from typing import (
     Any,
@@ -57,6 +61,10 @@ PATH_SERIAL = "executor:serial-cold-cache"
 PATH_CACHE_WARM = "cache:warm"
 PATH_POOL_ARENA = "executor:pool-arena"
 PATH_SERVE = "serve:roundtrip"
+
+#: Name of the one child process per batch that runs the
+#: forced-scalar reference.
+REFERENCE_PROCESS = "check-scalar-reference"
 
 #: A ``(design, workload)`` cell.
 Cell = Tuple[str, str]
@@ -214,11 +222,12 @@ def _sweep(
     return digested_sweep(executor, scale, cells)
 
 
-def _sweep_paths(
+def _in_process_paths(
     scale: Any, cells: Sequence[Cell]
 ) -> Dict[Cell, List[PathResult]]:
-    """Every path but the scalar one, each run once over all ``cells``
-    → each cell's results in path order."""
+    """The serial cold-cache sweep, its warm replay and the serve round
+    trip, each run once over all ``cells`` in this process → each
+    cell's results in that order."""
     with tempfile.TemporaryDirectory() as tmp:
         serial, serial_streams, _ = _sweep(
             scale, cells, jobs=1, arena=False, cache=ResultCache(Path(tmp))
@@ -226,7 +235,6 @@ def _sweep_paths(
         warm, _, sources = _sweep(
             scale, cells, jobs=1, arena=False, cache=ResultCache(Path(tmp))
         )
-    pool, pool_streams, _ = _sweep(scale, cells, jobs=2, arena=True)
     with _server() as client:
         served = {
             cell: client.simulate(_serve_request(scale, *cell))["result"]
@@ -249,14 +257,80 @@ def _sweep_paths(
                 PATH_CACHE_WARM, result_digest(warm[cell]),
                 detail="served from disk",
             ) if sources[cell] == SOURCE_DISK else resimulated,
-            PathResult(
-                PATH_POOL_ARENA, result_digest(pool[cell]), pool_streams[cell],
-                detail="jobs=2, arena",
-            ),
             PathResult(PATH_SERVE, payload_digest(served[cell])),
         ]
         for cell in cells
     }
+
+
+def _reference_child(conn: Any, scale: Any, cells: List[Cell]) -> None:
+    """Child-process entry: the forced-scalar run of each cell in batch
+    order, each cell's ``("ok", cell, digests)`` sent as it lands.  A
+    run that raises sends ``("error", cell, traceback)`` instead and
+    ends the child; an interrupt or exit ends it without a message."""
+    try:
+        for cell in cells:
+            try:
+                digests = simulate_run(scale, *cell, kernel="scalar").digests
+            except Exception:
+                conn.send(("error", cell, traceback.format_exc()))
+                break
+            conn.send(("ok", cell, digests))
+    finally:
+        conn.close()
+
+
+@contextmanager
+def _scalar_reference(
+    scale: Any, cells: Sequence[Cell]
+) -> Iterator[Callable[[Cell], Tuple[str, Optional[str]]]]:
+    """Fork one :data:`REFERENCE_PROCESS` child that runs the
+    forced-scalar reference over ``cells`` → a function that waits for
+    the next cell's digests.
+
+    The child is forked the way :class:`SweepExecutor` forks its
+    workers (the default context), so it must start before any server
+    thread.  A child that dies or whose run raises fails the wait,
+    naming the cell; the child is reaped on every exit, and terminated
+    first unless the batch completed.
+    """
+    ctx = get_context()
+    conn, child_conn = ctx.Pipe(duplex=False)
+    process = ctx.Process(
+        target=_reference_child, args=(child_conn, scale, list(cells)),
+        name=REFERENCE_PROCESS, daemon=True,
+    )
+    process.start()
+    child_conn.close()
+
+    def digests(cell: Cell) -> Tuple[str, Optional[str]]:
+        connection.wait([conn, process.sentinel])
+        message = None
+        if conn.poll():
+            with suppress(EOFError):
+                message = conn.recv()
+        if message is None:
+            process.join()
+            raise RuntimeError(
+                f"the scalar reference child died with exit code "
+                f"{process.exitcode} while running {cell[0]}/{cell[1]}"
+            )
+        status, sent, payload = message
+        if status == "error":
+            raise RuntimeError(
+                f"the scalar reference run of {sent[0]}/{sent[1]} raised "
+                f"in its child:\n{payload}"
+            )
+        return payload
+
+    try:
+        yield digests
+    except BaseException:
+        process.terminate()
+        raise
+    finally:
+        process.join()
+        conn.close()
 
 
 def run_execution_paths_batch(
@@ -268,25 +342,41 @@ def run_execution_paths_batch(
     """Run each distinct execution path once over ``cells`` → each
     cell's :class:`PathResult` list, in path order.
 
-    The sweep paths run once each over the whole batch: the inline
-    serial sweep runtime with the arena off, writing a fresh
+    One forked child runs the forced-scalar reference per cell while
+    this process runs the sweep paths once each over the whole batch:
+    the inline serial sweep runtime with the arena off, writing a fresh
     :class:`ResultCache`; a second executor that must replay that cache
-    without simulating (judged per cell); a 2-worker process pool
-    replaying the trace arena; and one :mod:`repro.serve` server on an
-    ephemeral port, sent one request per cell.  The forced-scalar
-    reference then runs per cell, after ``on_cell(index, cell)``.
+    without simulating (judged per cell); and one :mod:`repro.serve`
+    server on an ephemeral port, sent one request per cell.  The
+    child's digests are then collected per cell, after
+    ``on_cell(index, cell)``, and the child reaped.  Only then does a
+    2-worker process pool replay the trace arena, so no more than two
+    processes compute at once.
 
     The caller asserts that every returned digest agrees; this function
     only measures.
     """
-    swept = _sweep_paths(scale, cells)
-    paths: Dict[Cell, List[PathResult]] = {}
-    for index, cell in enumerate(cells):
-        if on_cell is not None:
-            on_cell(index, cell)
-        scalar = simulate_run(scale, *cell, kernel="scalar")
-        paths[cell] = [PathResult(PATH_SCALAR, *scalar.digests), *swept[cell]]
-    return paths
+    with _scalar_reference(scale, cells) as reference:
+        in_process = _in_process_paths(scale, cells)
+        scalar: Dict[Cell, Tuple[str, Optional[str]]] = {}
+        for index, cell in enumerate(cells):
+            if on_cell is not None:
+                on_cell(index, cell)
+            scalar[cell] = reference(cell)
+    pool, pool_streams, _ = _sweep(scale, cells, jobs=2, arena=True)
+    return {
+        cell: [
+            PathResult(PATH_SCALAR, *scalar[cell]),
+            serial,
+            warm,
+            PathResult(
+                PATH_POOL_ARENA, result_digest(pool[cell]), pool_streams[cell],
+                detail="jobs=2, arena",
+            ),
+            serve,
+        ]
+        for cell, (serial, warm, serve) in in_process.items()
+    }
 
 
 def run_execution_paths(
@@ -477,6 +567,7 @@ __all__ = [
     "PATH_SERVE",
     "PATH_SWEEP",
     "PathResult",
+    "REFERENCE_PROCESS",
     "Run",
     "check_coalesced_bytes",
     "check_epoch_consistency",

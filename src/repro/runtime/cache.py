@@ -9,9 +9,9 @@ CLI invocations.  The cache key is the SHA-256 of the canonical JSON of
      repro.__version__, result schema version, model source digest}
 
 so any change to the experiment scale, the library version, the wire
-format or the source of the model packages (:data:`MODEL_PACKAGES`)
-addresses a different entry — stale results are never returned, they
-are simply orphaned (and reclaimable with ``cache clear``).
+format or the source of the model (:func:`model_files`) addresses a
+different entry — stale results are never returned, they are simply
+orphaned (and reclaimable with ``cache clear``).
 
 Entries are one JSON file each, sharded by digest prefix
 (``<root>/ab/abcdef....json``).  The cache is unbounded; ``cache
@@ -43,25 +43,38 @@ MODEL_PACKAGES = (
     "cpu", "stats", "trace",
 )
 
+#: The files of other packages that also build every cell, hashed with
+#: :data:`MODEL_PACKAGES`: the design factories, ``Scale.config`` and
+#: ``simulate_cell``.
+MODEL_FILES = (
+    "experiments/designs.py", "experiments/runner.py", "runtime/cells.py",
+)
+
+
+def model_files() -> List[str]:
+    """The sorted paths, relative to the ``repro`` package, of every
+    ``.py`` file of :data:`MODEL_PACKAGES` plus :data:`MODEL_FILES`."""
+    root = Path(__file__).resolve().parents[1]
+    return sorted({
+        path.relative_to(root).as_posix()
+        for name in MODEL_PACKAGES
+        for pattern in (f"{name}.py", f"{name}/**/*.py")
+        for path in root.glob(pattern)
+    } | set(MODEL_FILES))
+
 
 @functools.lru_cache(maxsize=None)
 def model_digest() -> str:
-    """SHA-256 over the sorted relative paths and bytes of every ``.py``
-    file of :data:`MODEL_PACKAGES`, computed once per process.
+    """SHA-256 over the paths and bytes of :func:`model_files`,
+    computed once per process.
 
     Any edit to the model — a committed change or an uncommitted local
     one, a comment included — addresses new cache entries, so a warm
     cache never serves results the current code would not produce.
     """
     root = Path(__file__).resolve().parents[1]
-    files = sorted(
-        path.relative_to(root).as_posix()
-        for name in MODEL_PACKAGES
-        for pattern in (f"{name}.py", f"{name}/**/*.py")
-        for path in root.glob(pattern)
-    )
     digest = hashlib.sha256()
-    for relative in files:
+    for relative in model_files():
         digest.update(relative.encode() + b"\0")
         digest.update((root / relative).read_bytes() + b"\0")
     return digest.hexdigest()
@@ -256,8 +269,10 @@ class ResultCache:
 
 __all__ = [
     "CacheStats",
+    "MODEL_FILES",
     "MODEL_PACKAGES",
     "ResultCache",
     "default_cache_dir",
     "model_digest",
+    "model_files",
 ]

@@ -4,13 +4,16 @@ CLI exit codes — including the mandated regression test that an
 injected digest mismatch makes ``check`` exit non-zero.
 """
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import multiprocessing
 import os
 import shutil
+import signal
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +56,7 @@ from repro.check.oracle import (
     PATH_SERIAL,
     PATH_SERVE,
     PATH_SWEEP,
+    REFERENCE_PROCESS,
     run_execution_paths,
     run_execution_paths_batch,
     run_invariants,
@@ -399,19 +403,22 @@ class TestRunCheck:
 class SimulationTally:
     """Wraps ``repro.runtime.cells.simulate``: counts every call (pool
     workers too, through a fork-shared counter), tags each call made in
-    this process, and perturbs the result of the calls a test picks.
+    this process or in the oracle's scalar reference child, and
+    perturbs the result of the calls a test picks.
 
     A call's tag is ``(kernel, telemetry on, where, trace attached,
     warmup, workload)``; ``where`` is ``"main"`` (this thread),
-    ``"thread"`` (another thread: a server's executor) or ``"worker"``
-    (a pool process).
+    ``"thread"`` (another thread: a server's executor), ``"reference"``
+    (the scalar reference child, whose tags cross back over a
+    fork-shared queue) or ``"worker"`` (a pool process).
     """
 
     def __init__(self, monkeypatch, perturb=lambda call, seen: False):
         import repro.runtime.cells as cells
 
         self.total = multiprocessing.Value("i", 0)
-        self.calls = []
+        self._calls = []
+        self._reference_calls = multiprocessing.SimpleQueue()
         parent = os.getpid()
         simulate = cells.simulate
 
@@ -419,7 +426,9 @@ class SimulationTally:
             with self.total.get_lock():
                 self.total.value += 1
             telemetry = kwargs.get("telemetry")
-            if os.getpid() != parent:
+            if multiprocessing.current_process().name == REFERENCE_PROCESS:
+                where = "reference"
+            elif os.getpid() != parent:
                 where = "worker"
             elif threading.current_thread() is threading.main_thread():
                 where = "main"
@@ -433,15 +442,24 @@ class SimulationTally:
                 kwargs.get("warmup_per_core"),
                 workload.name,
             )
-            seen = self.calls.count(call)
-            if where != "worker":
-                self.calls.append(call)
+            seen = self._calls.count(call)
+            if where == "reference":
+                self._reference_calls.put(call)
+            elif where != "worker":
+                self._calls.append(call)
             result = simulate(architecture, workload, **kwargs)
             if perturb(call, seen):
                 result = dataclasses.replace(result, swaps=result.swaps + 1)
             return result
 
         monkeypatch.setattr(cells, "simulate", wrapper)
+
+    @property
+    def calls(self):
+        """Every tagged call so far, the reference child's included."""
+        while not self._reference_calls.empty():
+            self._calls.append(self._reference_calls.get())
+        return self._calls
 
     def count(self, kernel, telemetry, thread, trace=False, warmup=None):
         return sum(
@@ -504,7 +522,7 @@ class TestOracleRunsEachPathOnce:
             PATH_SERVE,
         ]
         assert len({p.result_digest for p in paths}) == 1
-        assert tally.count("scalar", True, "main") == 1
+        assert tally.count("scalar", True, "reference") == 1
         assert tally.count("auto", True, "main") == 1      # serial, cold
         assert tally.count("auto", False, "thread", trace=True) == 1
         assert len(tally.calls) == 3                      # + serve
@@ -611,8 +629,10 @@ class TestOracleRunsEachPathOnce:
         self, monkeypatch, runtime_dirs
     ):
         """The sweep paths run once per check, not once per cell: one
-        pooled sweep and one oracle server, plus one server per
-        coalesced-bytes invariant."""
+        pooled sweep, one scalar reference child and one oracle server,
+        plus one server per coalesced-bytes invariant."""
+        from multiprocessing.process import BaseProcess
+
         from repro.check.runner import MAX_INVARIANT_CELLS
         from repro.runtime import SweepExecutor
         from repro.serve import ServerThread
@@ -635,6 +655,14 @@ class TestOracleRunsEachPathOnce:
         counting(SweepExecutor, "_run_supervised")
         counting(SweepExecutor, "_spawn")
         counting(ServerThread, "start")
+        started = []
+        start = BaseProcess.start
+
+        def naming(process):
+            started.append(process.name)
+            return start(process)
+
+        monkeypatch.setattr(BaseProcess, "start", naming)
         lines = []
         report = run_check(
             TINY, sample=2, fuzz=0, goldens_dir=runtime_dirs.goldens,
@@ -648,8 +676,10 @@ class TestOracleRunsEachPathOnce:
             "_spawn": 2,
             "start": 1 + invariant_cells,
         }
+        assert started.count(REFERENCE_PROCESS) == 1
+        assert len(started) == 1 + 2                      # + the pool's
         # A line per stage and per cell: the golden sweep, the batched
-        # sweep paths, each cell's scalar run, each invariant pack.
+        # sweep paths, each cell's scalar digests, each invariant pack.
         assert len(lines) == 2 + 2 + invariant_cells
 
     @staticmethod
@@ -702,6 +732,97 @@ class TestOracleRunsEachPathOnce:
         assert failed == {
             "seed-determinism", "telemetry-transparency", "epoch-consistency"
         }
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail the test from this (main) thread if the block runs longer
+    than ``seconds``.  (Not with an ``OSError``: ``Process.join``
+    swallows those.)"""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def scalar_run_of(victim, action):
+    """Patch ``repro.runtime.cells.simulate`` so the forced-scalar run
+    of ``victim``'s workload calls ``action()`` first."""
+    import repro.runtime.cells as cells
+
+    simulate = cells.simulate
+
+    def wrapper(architecture, workload, **kwargs):
+        if kwargs.get("kernel") == "scalar" and workload.name == victim[1]:
+            action()
+        return simulate(architecture, workload, **kwargs)
+
+    return wrapper
+
+
+class TestScalarReferenceChild:
+    """The forced-scalar reference runs in one forked child per batch.
+    A child that dies or raises fails the batch promptly and names the
+    cell; an error in the parent terminates the child; no child
+    outlives the batch."""
+
+    def test_a_killed_child_fails_the_batch_and_names_the_cell(
+        self, monkeypatch
+    ):
+        import repro.runtime.cells as cells
+
+        victim = BATCH[1]
+        monkeypatch.setattr(
+            cells, "simulate", scalar_run_of(victim, lambda: os._exit(7))
+        )
+        with deadline(120), pytest.raises(
+            RuntimeError, match="exit code 7 while running Chameleon/lbm"
+        ):
+            run_execution_paths_batch(BATCH_SCALE, BATCH)
+        assert multiprocessing.active_children() == []
+
+    def test_a_raising_scalar_run_surfaces_its_message(self, monkeypatch):
+        import repro.runtime.cells as cells
+
+        def boom():
+            raise ValueError("scalar kernel exploded")
+
+        victim = BATCH[0]
+        monkeypatch.setattr(cells, "simulate", scalar_run_of(victim, boom))
+        with deadline(120), pytest.raises(RuntimeError) as raised:
+            run_execution_paths_batch(BATCH_SCALE, BATCH)
+        assert "PoM/mcf raised in its child" in str(raised.value)
+        assert "ValueError: scalar kernel exploded" in str(raised.value)
+        assert multiprocessing.active_children() == []
+
+    def test_an_error_in_the_serve_stage_terminates_the_child(
+        self, monkeypatch
+    ):
+        import repro.runtime.cells as cells
+        from repro.serve import Client
+
+        # The child would compute for minutes; only termination can
+        # end it in time.
+        monkeypatch.setattr(
+            cells, "simulate",
+            scalar_run_of(BATCH[0], lambda: time.sleep(600)),
+        )
+
+        def refuse(self, request):
+            raise ConnectionError("serve stage failed")
+
+        monkeypatch.setattr(Client, "simulate", refuse)
+        with deadline(120), pytest.raises(
+            ConnectionError, match="serve stage failed"
+        ):
+            run_execution_paths_batch(BATCH_SCALE, BATCH)
+        assert multiprocessing.active_children() == []
 
 
 class TestFuzzGenerator:

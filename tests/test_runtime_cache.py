@@ -16,7 +16,12 @@ from repro.runtime import (
     default_cache_dir,
     simulate_cell,
 )
-from repro.runtime.cache import MODEL_PACKAGES, model_digest
+from repro.runtime.cache import (
+    MODEL_FILES,
+    MODEL_PACKAGES,
+    model_digest,
+    model_files,
+)
 from tests.conftest import tiny_scale
 
 TINY_SCALE = tiny_scale(accesses=100)
@@ -24,7 +29,8 @@ TINY_SCALE = tiny_scale(accesses=100)
 #: The modules and packages of ``src/repro`` whose source does not go
 #: into a cell's result: the facade and version, the trace-driven cache
 #: simulator, conformance tooling, figure runners, the sweep runtime,
-#: the server and telemetry (results are telemetry-transparent).
+#: the server and telemetry (results are telemetry-transparent).  The
+#: few of their files that build every cell are ``MODEL_FILES``.
 NON_MODEL_PACKAGES = (
     "__init__", "_version", "api", "cachesim", "check", "experiments",
     "runtime", "serve", "telemetry",
@@ -106,7 +112,8 @@ class TestInvalidation:
 
     def test_every_package_is_classified(self):
         """A new module or package of ``src/repro`` must be declared
-        model (its source keys the cache) or not."""
+        model (its source keys the cache) or not; the files of non-model
+        packages that still build every cell are named one by one."""
         root = Path(repro.__file__).parent
         found = {
             path.stem for path in root.iterdir()
@@ -114,6 +121,26 @@ class TestInvalidation:
         }
         assert not set(MODEL_PACKAGES) & set(NON_MODEL_PACKAGES)
         assert found == set(MODEL_PACKAGES) | set(NON_MODEL_PACKAGES)
+        assert set(MODEL_FILES) == {
+            "experiments/designs.py",   # the design factories
+            "experiments/runner.py",    # Scale.config
+            "runtime/cells.py",         # simulate_cell
+        }
+        assert all((root / name).is_file() for name in MODEL_FILES)
+        assert {name.split("/")[0] for name in MODEL_FILES} <= set(
+            NON_MODEL_PACKAGES
+        )
+
+    def test_model_files_hash_the_cell_builders(self):
+        files = model_files()
+        assert files == sorted(set(files))
+        for name in (
+            "experiments/designs.py", "experiments/runner.py",
+            "runtime/cells.py", "sim/engine.py", "config.py",
+        ):
+            assert name in files
+        assert "experiments/artefacts.py" not in files
+        assert "runtime/executor.py" not in files
 
     def test_default_version_is_package_version(self, tmp_path):
         assert ResultCache(tmp_path).version == repro.__version__
